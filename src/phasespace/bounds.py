@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import DEFAULT_L, DEFAULT_N, Grid, PhaseSpaceFn
 from .multiindex import (
     add,
     add_scalar,
+    as_index,
     binom,
     box,
     monomial,
@@ -24,9 +25,9 @@ from .multiindex import (
     swap_xp,
 )
 from .seminorms import (
+    _seminorm_entries,
     decay_norm_from_table,
     norm_sum_from_table,
-    seminorm,
     seminorm_table,
 )
 from .states import as_mixed, vacuum_state
@@ -92,7 +93,7 @@ def cauchy_schwarz_reports(state, chi, pairs):
 def chi_seminorm_table(chi, a_max, b_max, grid=None, band=None):
     """Seminorm table of W_chi used by the off-diagonal bound formulas."""
     if grid is None:
-        grid = Grid(2, 256, 12.0)
+        grid = Grid(2, DEFAULT_N, DEFAULT_L)
     w_chi = wigner(as_mixed(chi), grid)
     return seminorm_table(w_chi, a_max, b_max, band=band)
 
@@ -148,8 +149,6 @@ def offdiag_bound_rhs(chi, a, b, alpha, beta, variant, table=None, grid=None):
 
 def offdiag_grid_fn(chi, alpha, beta, grid):
     """Off-diagonal Wigner transform sampled on the grid via closed form."""
-    from .grid import PhaseSpaceFn
-
     axis = grid.axis()
     mesh = np.stack(
         np.meshgrid(*(axis,) * grid.dim, indexing="ij"), axis=-1
@@ -172,7 +171,9 @@ class BoundContext:
     def __init__(self, state, chi=None, grid=None, band=None, max_total_order=4):
         self.rho = as_mixed(state)
         self.chi = chi if chi is not None else vacuum_state(self.rho.n)
-        self.grid = grid if grid is not None else Grid(2 * self.rho.n, 256, 12.0)
+        self.grid = (
+            grid if grid is not None else Grid(2 * self.rho.n, DEFAULT_N, DEFAULT_L)
+        )
         self.band = band
         self.max_total_order = max_total_order
         self._cache = {}
@@ -252,10 +253,13 @@ class BoundContext:
         return self
 
     def lhs_seminorm(self, a, b):
-        return self._get(
-            ("lhs", a, b),
-            lambda: seminorm(self.w_rho(), a, b, band=self.band),
+        """|W_rho|_{a,b}, read from one table over index_pairs()."""
+        self._check_order(a, b)
+        table = self._get(
+            "lhs",
+            lambda: _seminorm_entries(self.w_rho(), self.index_pairs(), self.band),
         )
+        return table[(as_index(a), as_index(b))]
 
     def _check_order(self, a, b):
         if order(a) + order(b) > self.max_total_order:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundContext
-from .grid import Grid, PhaseSpaceFn
+from .grid import DEFAULT_BAND, DEFAULT_L, DEFAULT_N, Grid, PhaseSpaceFn
 from .multiindex import as_index
 from .seminorms import SeminormReport, seminorm
 from .states import as_mixed, demo_state, load_state
@@ -21,6 +21,8 @@ from .transforms import husimi, matel, quasichar, wigner
 from .verify import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
+    check_heavy_tail_trend,
+    check_plateau_decay,
     run_suite,
     suggest_grid,
 )
@@ -33,10 +35,10 @@ SEMINORM_HEADER = "family,a,b,value,N,L,band"
 
 @dataclass
 class RunConfig:
-    grid_n: int = 256
-    grid_l: float = 12.0
+    grid_n: int = DEFAULT_N
+    grid_l: float = DEFAULT_L
     seed: int = 0
-    band: float = 0.1
+    band: float = DEFAULT_BAND
     threads: int = 0
     out: str = ""
     tolerances: dict = field(default_factory=dict)
@@ -181,7 +183,9 @@ def _add_state_flags(parser, with_chi=False):
         "--grid", default=None, help="N,L lattice: points per axis, half extent"
     )
     parser.add_argument("--out", default=None, help="CSV output path")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="sampling seed (overrides config)"
+    )
     if with_chi:
         parser.add_argument(
             "--chi",
@@ -329,12 +333,18 @@ def _cmd_verify(args):
     state, demo = _resolve_state(args)
     chi = _resolve_chi(args)
     cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.seed:
+    if args.seed is not None:
         cfg.seed = args.seed
     reports = run_suite(state, chi, cfg, demo=demo)
     print(CSV_HEADER)
     for rep in reports:
         print(rep.row())
+    for rep in reports:
+        if not rep.passed:
+            reason = rep.info.get("error") or (
+                f"residual {_fmt(rep.residual)} > tolerance {_fmt(rep.tolerance)}"
+            )
+            print(f"FAIL {rep.name}: {reason}", file=sys.stderr)
     all_pass = all(rep.passed for rep in reports)
     out = args.out or cfg.out
     if out:
@@ -345,8 +355,6 @@ def _cmd_verify(args):
 
 
 def _cmd_demo(args):
-    from .verify import check_heavy_tail_trend, check_plateau_decay
-
     code = 0
     if args.which in ("plateau", "all"):
         rep = check_plateau_decay()
@@ -388,7 +396,7 @@ def build_parser():
     sp.add_argument(
         "--rep", choices=("wigner", "quasichar", "husimi"), default="wigner"
     )
-    sp.add_argument("--band", type=float, default=0.1,
+    sp.add_argument("--band", type=float, default=DEFAULT_BAND,
                     help="edge fraction excluded from the sup")
     sp.set_defaults(func=_cmd_seminorm)
 

@@ -14,7 +14,7 @@ exact grid momenta. The same matrices are spectrally accurate for
 Schwartz-class data contained in the box.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -73,13 +73,6 @@ class Grid:
     def shape(self):
         return (self.n_points,) * self.dim
 
-    def points(self):
-        """Stacked meshgrid of shape (N, ..., N, dim); guarded by size."""
-        if self.n_points**self.dim * self.dim > 40_000_000:
-            raise ValueError("grid too large to materialize points; use axis()")
-        mesh = np.meshgrid(*(self.axis() for _ in range(self.dim)), indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def quadrature(self, values):
         """Rectangle rule h^dim * sum(values)."""
         values = np.asarray(values)
@@ -136,46 +129,41 @@ def omega_matrix(n):
     return omega
 
 
-def grid_monomial(grid, a):
-    """Broadcast-friendly monomial weight x**a on the grid mesh."""
-    a = multiindex.as_index(a)
-    if len(a) != grid.dim:
-        raise ValueError(f"index length {len(a)} != grid dim {grid.dim}")
-    axis = grid.axis()
-    out = np.ones((1,) * grid.dim)
-    for i, ai in enumerate(a):
-        if ai:
-            shape = [1] * grid.dim
-            shape[i] = grid.n_points
-            out = out * (axis**ai).reshape(shape)
-    return out
-
-
-def spectral_derivative(fn, b):
-    """FFT derivative: multiply by (i*frequency)^{b_i} per axis.
-
-    Nyquist bins are zeroed for odd orders to keep real data real.
-    """
+def _derivative_index(b, grid):
     b = multiindex.as_index(b)
-    if len(b) != fn.grid.dim:
-        raise ValueError(f"index length {len(b)} != grid dim {fn.grid.dim}")
+    if len(b) != grid.dim:
+        raise ValueError(f"index length {len(b)} != grid dim {grid.dim}")
     if sum(b) > DERIVATIVE_ORDER_CAP:
         raise ValueError(
             f"derivative order {sum(b)} exceeds cap {DERIVATIVE_ORDER_CAP}"
         )
-    if sum(b) == 0:
-        return PhaseSpaceFn(fn.grid, fn.values.copy(), fn.label)
-    freq = fn.grid.frequencies()
-    hat = np.fft.fftn(fn.values)
-    for ax, bi in enumerate(b):
+    return b
+
+
+def derivative_coefficients(hat, grid, b):
+    """Fourier coefficients of d^b F from hat = fftn(F): multiply by
+    (i*frequency)^{b_i} per axis.
+
+    Nyquist bins are zeroed for odd orders to keep real data real.
+    """
+    freq = grid.frequencies()
+    for ax, bi in enumerate(_derivative_index(b, grid)):
         if not bi:
             continue
         mult = (1j * freq) ** bi
         if bi % 2:
-            mult[fn.grid.n_points // 2] = 0.0
-        shape = [1] * fn.grid.dim
-        shape[ax] = fn.grid.n_points
-        hat *= mult.reshape(shape)
+            mult[grid.n_points // 2] = 0.0
+        shape = [1] * grid.dim
+        shape[ax] = grid.n_points
+        hat = hat * mult.reshape(shape)
+    return hat
+
+
+def spectral_derivative(fn, b):
+    """FFT derivative d^b F, via derivative_coefficients."""
+    if not any(_derivative_index(b, fn.grid)):
+        return PhaseSpaceFn(fn.grid, fn.values.copy(), fn.label)
+    hat = derivative_coefficients(np.fft.fftn(fn.values), fn.grid, b)
     return PhaseSpaceFn(fn.grid, np.fft.ifftn(hat), fn.label)
 
 

@@ -81,11 +81,6 @@ def add_scalar(a, k):
     return as_index(tuple(x + int(k) for x in as_index(a)))
 
 
-def factorial(a):
-    """a! = product of componentwise factorials."""
-    return math.prod(math.factorial(x) for x in as_index(a))
-
-
 def binom(a, b):
     """Product of componentwise binomial coefficients C(a_i, b_i)."""
     a, b = as_index(a), as_index(b)
@@ -125,13 +120,3 @@ def box(a):
     a = as_index(a)
     return itertools.product(*(range(x + 1) for x in a))
 
-
-def indices_up_to_order(dim, max_order):
-    """All multi-indices of the given length with |a| <= max_order, sorted."""
-    if dim < 1 or max_order < 0:
-        raise ValueError("need dim >= 1 and max_order >= 0")
-    return [
-        c
-        for c in itertools.product(range(max_order + 1), repeat=dim)
-        if sum(c) <= max_order
-    ]

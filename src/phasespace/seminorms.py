@@ -12,8 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridResolutionError, spectral_derivative
+from .grid import DEFAULT_BAND, Grid, GridResolutionError, derivative_coefficients
 from .multiindex import as_index, box, monomial, order
+from .states import as_mixed
+
+OPERATOR_ORDER_CAP = 8
+ZOOM_ROUNDS = 6
+ZOOM_POINTS = 5
+ZOOM_SHRINK = 3.0
 
 
 def _index_for(a, dim):
@@ -21,12 +27,6 @@ def _index_for(a, dim):
     if len(idx) != dim:
         raise ValueError(f"index length {len(idx)} != expected {dim}")
     return idx
-from .states import as_mixed
-
-OPERATOR_ORDER_CAP = 8
-ZOOM_ROUNDS = 6
-ZOOM_POINTS = 5
-ZOOM_SHRINK = 3.0
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,13 @@ class SeminormReport:
 
 
 def _band_slices(grid, band):
+    if not 0.0 <= band < 0.5:
+        raise ValueError(f"band {band!r} outside [0, 0.5)")
     margin = int(round(band * grid.n_points))
     lo = margin
     hi = grid.n_points - margin
     if hi <= lo:
-        raise ValueError("band leaves no interior points")
+        raise ValueError(f"band {band!r} leaves no interior points")
     return lo, hi
 
 
@@ -70,10 +72,11 @@ def _trig_eval_grid(coeffs, grid, axes_points):
     return out
 
 
-def _refine_sup(deriv_vals, grid, a, start_point, start_value, band):
-    """Zoom |z^a interp(z)| around the lattice argmax; returns refined sup."""
-    coeffs = np.fft.fftn(deriv_vals)
-    lo, hi = _band_slices(grid, band)
+def _refine_sup(coeffs, grid, a, start_point, start_value, lo, hi):
+    """Zoom |z^a interp(z)| around the lattice argmax; returns refined sup.
+
+    coeffs are the Fourier coefficients (fftn) of the sampled function.
+    """
     axis = grid.axis()
     low = axis[lo]
     high = axis[hi - 1]
@@ -100,8 +103,7 @@ def _refine_sup(deriv_vals, grid, a, start_point, start_value, band):
     return best
 
 
-def _lattice_sup(deriv_vals, grid, a, band):
-    lo, hi = _band_slices(grid, band)
+def _lattice_sup(deriv_vals, grid, a, lo, hi):
     sl = (slice(lo, hi),) * grid.dim
     weighted = np.abs(deriv_vals[sl])
     axis = np.abs(grid.axis()[lo:hi])
@@ -116,50 +118,48 @@ def _lattice_sup(deriv_vals, grid, a, band):
     return float(weighted[idx]), point
 
 
+def _seminorm_entries(fn, pairs, band=None, refine=True):
+    """{(a, b): |F|_{a,b}} for each (a, b) in pairs, sup over the interior band.
+
+    F is transformed once; each distinct b costs one inverse transform for
+    the lattice sup, and the zoom reads the derivative coefficients directly.
+    """
+    grid = fn.grid
+    lo, hi = _band_slices(grid, DEFAULT_BAND if band is None else band)
+    decays_by_b = {}
+    for a, b in pairs:
+        decays_by_b.setdefault(_index_for(b, grid.dim), []).append(
+            _index_for(a, grid.dim)
+        )
+    hat = np.fft.fftn(fn.values)
+    table = {}
+    for b, decays in decays_by_b.items():
+        coeffs = derivative_coefficients(hat, grid, b)
+        deriv = np.fft.ifftn(coeffs) if any(b) else fn.values
+        for a in decays:
+            value, point = _lattice_sup(deriv, grid, a, lo, hi)
+            if refine and grid.dim <= 2:
+                value = _refine_sup(coeffs, grid, a, point, value, lo, hi)
+            table[(a, b)] = value
+    return table
+
+
 def seminorm(fn, a, b, band=None, refine=True):
     """sup over the interior band of |alpha^a (d^b F)(alpha)|."""
-    grid = fn.grid
-    a = _index_for(a, grid.dim)
-    b = _index_for(b, grid.dim)
-    if band is None:
-        band = 0.1
-    deriv = spectral_derivative(fn, b).values
-    value, point = _lattice_sup(deriv, grid, a, band)
-    if refine and grid.dim <= 2:
-        value = _refine_sup(deriv, grid, a, point, value, band)
-    return value
+    return _seminorm_entries(fn, [(a, b)], band, refine)[(as_index(a), as_index(b))]
 
 
 def norm_sum(fn, a, b, band=None, refine=True):
     """Sum of seminorms over the downward-closed box a' <= a, b' <= b."""
-    grid = fn.grid
-    a = _index_for(a, grid.dim)
-    b = _index_for(b, grid.dim)
-    total = 0.0
-    for b_sub in box(b):
-        deriv = spectral_derivative(fn, b_sub).values
-        for a_sub in box(a):
-            value, point = _lattice_sup(deriv, grid, a_sub, band or 0.1)
-            if refine and grid.dim <= 2:
-                value = _refine_sup(deriv, grid, a_sub, point, value, band or 0.1)
-            total += value
-    return total
+    return sum(seminorm_table(fn, a, b, band, refine).values())
 
 
 def seminorm_table(fn, a_max, b_max, band=None, refine=True):
     """All |F|_{a',b'} for a' <= a_max, b' <= b_max as a dict."""
-    grid = fn.grid
-    a_max = _index_for(a_max, grid.dim)
-    b_max = _index_for(b_max, grid.dim)
-    table = {}
-    for b_sub in box(b_max):
-        deriv = spectral_derivative(fn, b_sub).values
-        for a_sub in box(a_max):
-            value, point = _lattice_sup(deriv, grid, a_sub, band or 0.1)
-            if refine and grid.dim <= 2:
-                value = _refine_sup(deriv, grid, a_sub, point, value, band or 0.1)
-            table[(a_sub, b_sub)] = value
-    return table
+    a_max = _index_for(a_max, fn.grid.dim)
+    b_max = _index_for(b_max, fn.grid.dim)
+    pairs = [(a, b) for b in box(b_max) for a in box(a_max)]
+    return _seminorm_entries(fn, pairs, band, refine)
 
 
 def decay_norm_from_table(table, a):

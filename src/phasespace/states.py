@@ -299,11 +299,15 @@ def fock_state(m, n=1):
 
 
 def _factorial_ratio_sqrt(small, large):
-    """sqrt(small! / large!) for small <= large."""
-    prod = 1.0
+    """sqrt(small! / large!) for small <= large.
+
+    Dividing term by term keeps the running value finite where the
+    product large!/small! would overflow.
+    """
+    ratio = 1.0
     for j in range(small + 1, large + 1):
-        prod *= j
-    return 1.0 / math.sqrt(prod)
+        ratio /= math.sqrt(j)
+    return ratio
 
 
 def _dme_axis(m, n, zeta):

@@ -14,11 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, PhaseSpaceFn, omega_matrix, symplectic_form, symplectic_fourier
-from .multiindex import as_index, binom, box, monomial, order, sub
-from .seminorms import seminorm
+from .grid import (
+    DEFAULT_L,
+    DEFAULT_N,
+    Grid,
+    PhaseSpaceFn,
+    omega_matrix,
+    spectral_derivative,
+    symplectic_form,
+    symplectic_fourier,
+)
+from .multiindex import as_index, binom, box, order, sub
 from .states import (
     as_mixed,
+    demo_state,
     displaced_overlaps,
     pure_overlap,
     random_pure_state,
@@ -26,10 +35,13 @@ from .states import (
 )
 from .transforms import (
     MatelSampler,
+    gaussian_atom_wigner,
     husimi,
+    husimi_at,
     matel,
     momentum_density,
     momentum_marginal,
+    offdiag_wigner,
     quasichar,
     twisted_convolution,
     twisted_convolution_grid,
@@ -88,10 +100,10 @@ def check_seed(name, base_seed):
 
 
 def _default_grid():
-    return Grid(2, 256, 12.0)
+    return Grid(2, DEFAULT_N, DEFAULT_L)
 
 
-def suggest_grid(state, base_n=256, base_l=12.0):
+def suggest_grid(state, base_n=DEFAULT_N, base_l=DEFAULT_L):
     """Grid containing the state: default box unless its extent is larger."""
     rho = as_mixed(state)
     need = rho.extent() + 6.0
@@ -231,8 +243,6 @@ def _offdiag_direct(chi, alpha, beta, gamma, n_nodes=16384):
 
 def check_offdiag(chi=None, tol=None, seed=0, n_triples=50):
     """Closed-form off-diagonal Wigner values against direct quadrature."""
-    from .transforms import offdiag_wigner
-
     tol = DEFAULT_TOLERANCES["offdiag"] if tol is None else tol
     chi = chi or vacuum_state(1)
     rng = np.random.default_rng(seed)
@@ -301,12 +311,6 @@ def _four_d_points(grid):
     return grid.spacing * steps
 
 
-def _grid_values_at(fn, points):
-    g = fn.grid
-    idx = np.rint((points + g.half_extent) / g.spacing).astype(int)
-    return fn.values[tuple(idx[..., i] for i in range(g.dim))]
-
-
 def check_wigner_from_matel(
     state, chi=None, points=None, grid=None, tol=None, seed=0, n_nodes=FOUR_D_NODES
 ):
@@ -351,7 +355,7 @@ def check_wigner_from_matel(
         wx = np.exp(1j * pt[1] * axis)
         wp = np.exp(-1j * pt[0] * axis)
         val = s * s / (2.0 * np.pi) ** 3 * (wx @ g_vals @ wp)
-        ref = _grid_values_at(w_ref, pt)
+        ref = husimi_at(w_ref, pt)
         resid = max(resid, abs(val - ref))
     return _report(
         "wigner-from-matel", resid, tol, len(points), grid, seed,
@@ -363,8 +367,6 @@ def check_wigner_decomp(
     state, chi=None, points=None, grid=None, tol=None, seed=0, n_nodes=FOUR_D_NODES
 ):
     """W(gamma) from the off-diagonal decomposition over coherent pairs."""
-    from .transforms import gaussian_atom_wigner
-
     tol = DEFAULT_TOLERANCES["wigner-decomp"] if tol is None else tol
     rho = as_mixed(state)
     if rho.n != 1:
@@ -403,7 +405,7 @@ def check_wigner_decomp(
             )
             totals[k] += (phase * w_chi_eval(gamma[None, None, :] - abar) * m_chunk).sum()
     totals *= s**4 / (2.0 * np.pi) ** 2
-    refs = _grid_values_at(w_ref, points)
+    refs = husimi_at(w_ref, points)
     resid = float(np.abs(totals - refs).max())
     return _report(
         "wigner-decomp", resid, tol, len(points), grid, seed,
@@ -477,8 +479,6 @@ def check_twisted_expansion(
     grid=None, n_samples=25,
 ):
     """d^a of a twisted convolution against its binomial expansion."""
-    from .grid import spectral_derivative
-
     tol = DEFAULT_TOLERANCES["twisted-expansion"] if tol is None else tol
     rho = as_mixed(state)
     if rho.n != 1:
@@ -495,7 +495,7 @@ def check_twisted_expansion(
     resid = 0.0
     for a in orders:
         a = as_index(a)
-        lhs = _grid_values_at(spectral_derivative(conv, a), pts)
+        lhs = husimi_at(spectral_derivative(conv, a), pts)
         rhs = np.zeros(len(pts), dtype=complex)
         for a_sub in box(a):
             extra = sub(a, a_sub)
@@ -519,8 +519,6 @@ def heavy_tail_first_seminorms(k_max=6, sweep_step=0.05):
     The supremum over p sits at p = 0 for these states, so a 1-D sweep
     suffices and works far outside any fixed grid box.
     """
-    from .states import demo_state
-
     values = []
     for k in range(1, k_max + 1):
         rho = demo_state("heavy_tail", K=k)
@@ -558,8 +556,6 @@ def check_heavy_tail_trend(k_max=6, seed=0):
 
 def plateau_decay_exponent(p_lo=4.0, p_hi=10.0, n_p=13, n_x=401):
     """Fitted polynomial decay exponent of sup_x |W(x, p)| on [p_lo, p_hi]."""
-    from .states import demo_state
-
     rho = demo_state("plateau")
     ps = np.geomspace(p_lo, p_hi, n_p)
     xs = np.linspace(0.0025, 0.9975, n_x)
@@ -621,8 +617,8 @@ def run_suite(state, chi=None, config=None, demo=None):
     """
     rho = as_mixed(state)
     chi = chi or vacuum_state(rho.n)
-    grid_n = getattr(config, "grid_n", 256)
-    grid_l = getattr(config, "grid_l", 12.0)
+    grid_n = getattr(config, "grid_n", DEFAULT_N)
+    grid_l = getattr(config, "grid_l", DEFAULT_L)
     seed = getattr(config, "seed", 0)
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(getattr(config, "tolerances", {}) or {})

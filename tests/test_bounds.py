@@ -232,6 +232,20 @@ def test_index_pairs_enumeration(vacuum_ctx):
     assert all(order(a) + order(b) <= 4 for a, b in pairs)
 
 
+def test_lhs_table_matches_direct_seminorm(mixture_ctx):
+    w_rho = mixture_ctx.w_rho()
+    for a, b in [(Z, Z), ((1, 0), (0, 1)), ((2, 2), Z), (Z, (1, 3))]:
+        assert mixture_ctx.lhs_seminorm(a, b) == pytest.approx(
+            seminorm(w_rho, a, b), rel=1e-12
+        )
+    # index tuples of any integer type read the same entry
+    assert mixture_ctx.lhs_seminorm(np.array([1, 0]), [0, 1]) == (
+        mixture_ctx.lhs_seminorm((1, 0), (0, 1))
+    )
+    with pytest.raises(ValueError, match="exceeds"):
+        mixture_ctx.lhs_seminorm((3, 2), Z)
+
+
 def test_context_defaults(mixture_ctx):
     assert mixture_ctx.grid.dim == 2
     assert mixture_ctx.chi.atoms[0].m == (0,)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phasespace import Grid, save_state, vacuum_state, wigner
+from phasespace import cli
 from phasespace.cli import (
     BOUND_HEADER,
     SEMINORM_HEADER,
@@ -17,7 +18,7 @@ from phasespace.cli import (
     read_csv_values,
 )
 from phasespace.transforms import quasichar
-from phasespace.verify import CSV_HEADER
+from phasespace.verify import CSV_HEADER, VerifyReport
 
 
 def run_cli(*argv):
@@ -204,6 +205,48 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "CHECK FAILURES" in capsys.readouterr().out
 
 
+def _fake_suite(reports, seen=None):
+    def run_suite(state, chi, cfg, demo=None):
+        if seen is not None:
+            seen.append(cfg.seed)
+        return reports
+
+    return run_suite
+
+
+def test_verify_seed_zero_overrides_config(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", _fake_suite([], seen))
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 5\n")
+    assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg), "--seed", "0") == 0
+    assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 0
+    assert seen == [0, 5]
+
+
+def test_verify_prints_failure_reasons(tmp_path, monkeypatch, capsys):
+    raised = VerifyReport("husimi", math.inf, 0.0, 0, 0, 0.0, 3,
+                          {"error": "grid too coarse"})
+    loose = VerifyReport("trace", 2e-7, 1e-7, 2, 256, 12.0, 4)
+    good = VerifyReport("duality", 1e-9, 1e-6, 10, 256, 12.0, 5)
+    reports = [raised, good, loose]
+    monkeypatch.setattr(cli, "run_suite", _fake_suite(reports))
+    out = tmp_path / "r.csv"
+    assert run_cli("verify", "--demo", "vacuum", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == (
+        [CSV_HEADER] + [rep.row() for rep in reports]
+        + [f"wrote {out}", "verify: CHECK FAILURES"]
+    )
+    assert captured.err.splitlines() == [
+        "FAIL husimi: grid too coarse",
+        "FAIL trace: residual 1.9999999999999999e-07 > tolerance 9.9999999999999995e-08",
+    ]
+    expected = tmp_path / "expected.csv"
+    export_csv(reports, expected, header=CSV_HEADER)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 # --- demo ----------------------------------------------------------------------
 
 
@@ -227,6 +270,15 @@ def test_usage_errors(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
     assert run_cli("wigner", "--demo", "heavy-tail", "--K", "25") == 2
     assert "K" in capsys.readouterr().err
+
+
+def test_seminorm_band_out_of_range(capsys):
+    code = run_cli(
+        "seminorm", "--demo", "vacuum", "--a", "0,0", "--b", "0,0",
+        "--band", "-0.1", "--grid", "64,12",
+    )
+    assert code == 2
+    assert "band -0.1" in capsys.readouterr().err
 
 
 def test_bad_thread_env(monkeypatch, capsys):

@@ -75,6 +75,41 @@ def test_seminorm_band_excludes_boundary(vacuum_wigner):
         seminorm(vacuum_wigner, Z, Z, band=0.5)
 
 
+def test_seminorm_rejects_band_by_name(vacuum_wigner):
+    # a negative band would index past the lower edge; it is refused by name
+    for refine in (True, False):
+        with pytest.raises(ValueError, match="band -0.1"):
+            seminorm(vacuum_wigner, Z, Z, band=-0.1, refine=refine)
+    with pytest.raises(ValueError, match="band -0.1"):
+        seminorm_table(vacuum_wigner, Z, Z, band=-0.1)
+
+
+def test_zero_band_honoured_by_every_entry():
+    # the peak at x = 10.5 lies in the default edge band of this grid; the
+    # box cuts the state's tail, so the peak is only good to ~1e-3
+    grid = Grid(2, 64, 12.0)
+    far = wigner(vacuum_state(1).displaced(np.array([10.5, 0.0])), grid)
+    full = seminorm(far, Z, Z, band=0.0)
+    assert abs(full - 1.0 / math.pi) < 1e-3
+    assert seminorm(far, Z, Z) < 0.5 / math.pi
+    assert seminorm_table(far, Z, Z, band=0.0)[(Z, Z)] == full
+    assert norm_sum(far, Z, Z, band=0.0) == full
+
+
+def test_table_transforms_its_input_once(vacuum_wigner, monkeypatch):
+    calls = []
+    forward = np.fft.fftn
+
+    def counting_fftn(values, *args, **kwargs):
+        calls.append(values.shape)
+        return forward(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    table = seminorm_table(vacuum_wigner, (2, 2), (2, 2))
+    assert len(table) == 81
+    assert calls == [vacuum_wigner.values.shape]
+
+
 def test_seminorm_rejects_high_derivative(vacuum_wigner):
     with pytest.raises(ValueError, match="12"):
         seminorm(vacuum_wigner, Z, (13, 0))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from phasespace import (
     save_state,
     vacuum_state,
 )
-from phasespace.states import pure_overlap
+from phasespace.states import (
+    _factorial_ratio_sqrt,
+    overlap_by_quadrature,
+    pure_overlap,
+)
 
 
 def kernel(rho, xs, ys):
@@ -127,6 +132,25 @@ def test_displacement_matrix_element_against_quadrature():
         ket = fock_state(int(mp)).displaced(xi).evaluate(ys)
         quad = step * np.sum(np.conj(bra) * ket)
         assert abs(closed - quad) < 1e-10
+
+
+def test_factorial_ratio_matches_exact_at_low_order():
+    for small in range(12):
+        for large in range(small, 12):
+            exact = math.sqrt(math.factorial(small) / math.factorial(large))
+            got = _factorial_ratio_sqrt(small, large)
+            assert abs(got - exact) <= 4e-16 * exact, (small, large)
+
+
+def test_high_order_matrix_element_is_not_zero():
+    # 200! overflows a double; the amplitude must still come out finite
+    closed = displacement_matrix_element((200,), (0,), (20.0, 0.0))
+    quad = overlap_by_quadrature(
+        fock_state(200), vacuum_state(1).displaced((20.0, 0.0)),
+        n_nodes=32768, half=40.0,
+    )
+    assert abs(quad) > 0.1
+    assert abs(closed - quad) < 1e-10
 
 
 def test_plateau_values():
