@@ -308,7 +308,9 @@ def _cmd_seminorm(args):
 def _cmd_bound_check(args):
     state, _ = _resolve_state(args)
     chi = _resolve_chi(args)
-    ctx = BoundContext(state, chi=chi, max_total_order=args.order_cap)
+    # without --grid the context keeps its fixed default box, not suggest_grid
+    grid = _resolve_grid(args, state) if args.grid is not None else None
+    ctx = BoundContext(state, chi=chi, grid=grid, max_total_order=args.order_cap)
     names = {"theorem": ["theorem"], "husimi": ["husimi"],
              "both": ["theorem", "husimi"]}[args.variant]
     reports = []

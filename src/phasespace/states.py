@@ -310,17 +310,36 @@ def _factorial_ratio_sqrt(small, large):
     return ratio
 
 
+# e^{+-700} is still a normal double
+_LOG_RANGE = 700.0
+
+
 def _dme_axis(m, n, zeta):
-    """<phi_m | D(zeta) | phi_n> for one axis; zeta any complex array."""
+    """<phi_m | D(zeta) | phi_n> for one axis; zeta any complex array.
+
+    With k = |m - n| and w = zeta (m >= n) or -conj(zeta) (m < n) this is
+    sqrt(min! / max!) w^k e^{-|zeta|^2/2} L_min^(k)(|zeta|^2).  Where one of
+    the three amplitude factors would leave the double range (high orders
+    at matching displacement) they are combined in log space and the phase
+    e^{ik arg w} is put back afterwards; elsewhere the direct product is
+    kept, so moderate orders give the same values as before.
+    """
     zeta = np.asarray(zeta, dtype=complex)
     r2 = (zeta * np.conj(zeta)).real
-    if m >= n:
-        amp = _factorial_ratio_sqrt(n, m) * zeta ** (m - n)
-        lag = eval_genlaguerre(n, m - n, r2)
-    else:
-        amp = _factorial_ratio_sqrt(m, n) * (-np.conj(zeta)) ** (n - m)
-        lag = eval_genlaguerre(m, n - m, r2)
-    return amp * np.exp(-0.5 * r2) * lag
+    small, k = min(m, n), abs(m - n)
+    base = zeta if m >= n else -np.conj(zeta)
+    log_ratio = 0.5 * (math.lgamma(small + 1) - math.lgamma(small + k + 1))
+    with np.errstate(divide="ignore"):
+        log_pow = 0.5 * k * np.log(r2) if k else np.zeros_like(r2)
+    in_range = (log_ratio > -_LOG_RANGE) & (log_pow < _LOG_RANGE) & (
+        r2 < 2.0 * _LOG_RANGE
+    )
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        amp = _factorial_ratio_sqrt(small, small + k) * base**k * np.exp(-0.5 * r2)
+    if not np.all(in_range):
+        log_amp = log_ratio + log_pow - 0.5 * r2
+        amp = np.where(in_range, amp, np.exp(log_amp + 1j * k * np.angle(base)))
+    return amp * eval_genlaguerre(small, k, r2)
 
 
 def displacement_matrix_element(m, n, xi):

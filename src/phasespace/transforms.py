@@ -264,11 +264,11 @@ def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
     return out.reshape(pts.shape[:-1])
 
 
-def gaussian_atom_wigner(chi):
-    """Closed-form Wigner evaluator when chi is a single m=0 atom, else None.
+def gaussian_atom_params(chi):
+    """(weight, center) when chi is a single m=0 atom, else None.
 
     For chi = c D_g phi_0 the Wigner function of |chi><chi| is
-    |c|^2 pi^{-n} exp(-|u - g|^2).
+    weight * exp(-|u - center|^2) with weight = |c|^2 pi^{-n}, center = g.
     """
     if not getattr(chi, "is_analytic", False) or len(chi.atoms) != 1:
         return None
@@ -276,13 +276,7 @@ def gaussian_atom_wigner(chi):
     if any(atom.m):
         return None
     weight = abs(atom.coeff) ** 2 / np.pi ** len(atom.m)
-    center = np.asarray(atom.alpha, dtype=float)
-
-    def evaluator(points):
-        diff = np.asarray(points, dtype=float) - center
-        return weight * np.exp(-(diff**2).sum(-1))
-
-    return evaluator
+    return weight, np.asarray(atom.alpha, dtype=float)
 
 
 def offdiag_wigner(chi, alpha, beta, gammas):
@@ -297,12 +291,24 @@ def offdiag_wigner(chi, alpha, beta, gammas):
     abar = 0.5 * (alpha + beta)
     dalpha = alpha - beta
     phase = np.exp(1j * symplectic_form(gammas - 0.5 * abar, dalpha))
-    closed = gaussian_atom_wigner(chi)
-    if closed is not None:
-        base = closed(gammas - abar)
+    params = gaussian_atom_params(chi)
+    if params is not None:
+        weight, center = params
+        base = weight * np.exp(-((gammas - abar - center) ** 2).sum(-1))
     else:
         base = wigner_pointwise(as_mixed(chi), gammas - abar).real
     return phase * base
+
+
+def _twisted_form(f, g, form):
+    """Validated form of a twisted convolution of f and g."""
+    gd = g.grid
+    if f.grid != gd:
+        raise ValueError("f and g must share a grid")
+    form = np.asarray(form, dtype=float)
+    if form.shape != (gd.dim, gd.dim) or np.abs(form + form.T).max() > 1e-12:
+        raise ValueError("form must be an antisymmetric dim x dim matrix")
+    return form
 
 
 def twisted_convolution(f, g, form, alphas, f_eval=None):
@@ -313,11 +319,7 @@ def twisted_convolution(f, g, form, alphas, f_eval=None):
     used with zero padding outside the box.
     """
     gd = g.grid
-    if f.grid != gd:
-        raise ValueError("f and g must share a grid")
-    form = np.asarray(form, dtype=float)
-    if form.shape != (gd.dim, gd.dim) or np.abs(form + form.T).max() > 1e-12:
-        raise ValueError("form must be an antisymmetric dim x dim matrix")
+    form = _twisted_form(f, g, form)
     alphas = np.asarray(alphas, dtype=float)
     flat = alphas.reshape(-1, gd.dim)
     beta = _mesh(gd.axis(), gd.dim)
@@ -345,11 +347,41 @@ def twisted_convolution(f, g, form, alphas, f_eval=None):
     return (gd.spacing**gd.dim) * out.reshape(alphas.shape[:-1])
 
 
-def twisted_convolution_grid(f, g, form, f_eval=None):
-    """Twisted convolution sampled at every lattice point."""
-    pts = _mesh(f.grid.axis(), f.grid.dim)
-    vals = twisted_convolution(f, g, form, pts, f_eval=f_eval)
-    return PhaseSpaceFn(f.grid, vals.reshape(f.grid.shape()), "twisted-conv")
+def twisted_convolution_grid(f, g, form):
+    """Twisted convolution sampled at every lattice point (dim 2 only).
+
+    With form = [[0, w], [-w, 0]] the phase splits as
+    e^{i w alpha_x beta_p / 2} e^{-i w alpha_p beta_x / 2}, so for each
+    pair of x rows (alpha_x, beta_x) the sum over beta_p is a linear
+    convolution along p.  Each is done by FFT, zero-padded to 2N, which
+    gives the same zero-outside-the-box sum as `twisted_convolution`.
+    """
+    gd = g.grid
+    if gd.dim != 2:
+        raise ValueError(
+            f"twisted_convolution_grid implemented for dim 2, got dim {gd.dim}"
+        )
+    form = _twisted_form(f, g, form)
+    half_w = 0.5 * form[0, 1]
+    n_pts = gd.n_points
+    axis = gd.axis()
+    f_hat = np.fft.fft(f.values, 2 * n_pts, axis=1)
+    # x_phase[i, k] = e^{i w axis_i axis_k / 2}; its conjugate carries the
+    # alpha_p beta_x half of the phase
+    x_phase = np.exp(1j * half_w * np.outer(axis, axis))
+    beta_rows = np.arange(n_pts)
+    out = np.empty((n_pts, n_pts), dtype=complex)
+    for i in range(n_pts):
+        # the f row at alpha_x - beta_x for each beta_x row; zero outside the box
+        f_rows = i - beta_rows + n_pts // 2
+        inside = (f_rows >= 0) & (f_rows < n_pts)
+        g_hat = np.fft.fft(
+            g.values[inside] * x_phase[i], 2 * n_pts, axis=1
+        )
+        conv = np.fft.ifft(f_hat[f_rows[inside]] * g_hat, axis=1)
+        conv = conv[:, n_pts // 2 : n_pts // 2 + n_pts]
+        out[i] = (np.conj(x_phase[beta_rows[inside]]) * conv).sum(0)
+    return PhaseSpaceFn(gd, gd.spacing**2 * out, "twisted-conv")
 
 
 def momentum_marginal(fn):

@@ -182,6 +182,25 @@ def test_bound_check_sweep(tmp_path, capsys):
         assert line.endswith(",1")
 
 
+def test_bound_check_honours_grid(monkeypatch, capsys):
+    grids = []
+    real_context = cli.BoundContext
+
+    def recording_context(*args, **kwargs):
+        ctx = real_context(*args, **kwargs)
+        grids.append((ctx.grid.n_points, ctx.grid.half_extent))
+        return ctx
+
+    monkeypatch.setattr(cli, "BoundContext", recording_context)
+    argv = ("bound-check", "--demo", "vacuum", "--order-cap", "0")
+    run_cli(*argv)
+    default_rows = capsys.readouterr().out.splitlines()[:-1]
+    run_cli(*argv, "--grid", "64,8")
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert grids == [(256, 12.0), (64, 8.0)]
+    assert rows != default_rows
+
+
 # --- verify --------------------------------------------------------------------
 
 

@@ -153,6 +153,21 @@ def test_high_order_matrix_element_is_not_zero():
     assert abs(closed - quad) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "m,n,x", [(300, 0, 24.5), (0, 300, 24.5), (310, 10, 24.5), (400, 0, 28.3)]
+)
+def test_matrix_element_past_overflow_order(m, n, x):
+    # |zeta|^k overflows and sqrt(n!/m!) underflows here; the amplitude
+    # must still match quadrature instead of coming back NaN
+    closed = displacement_matrix_element((m,), (n,), (x, 0.0))
+    quad = overlap_by_quadrature(
+        fock_state(m), fock_state(n).displaced((x, 0.0)),
+        n_nodes=16384, half=45.0,
+    )
+    assert abs(quad) > 0.01
+    assert abs(closed - quad) < 1e-10
+
+
 def test_plateau_values():
     plateau = demo_state("plateau")
     ys = np.array([[0.5], [-0.1], [1.1], [0.0]])

@@ -314,6 +314,28 @@ def test_twisted_convolution_grid_matches_pointwise():
         assert abs(conv.values[i, j] - val) < 1e-12
 
 
+@pytest.mark.parametrize("n_pts,half", [(16, 4.0), (64, 8.0)])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 2.0, 0.7])
+def test_twisted_convolution_grid_matches_pointwise_everywhere(n_pts, half, scale):
+    # the FFT grid route against the direct sum at every lattice point
+    g = Grid(2, n_pts, half)
+    xm, pm = mesh_of(g)
+    f = PhaseSpaceFn(g, np.exp(-0.5 * (xm**2 + pm**2) + 0.3j * xm), "f")
+    h = PhaseSpaceFn(g, np.exp(-0.7 * ((xm - 1.0) ** 2 + pm**2)), "h")
+    form = scale * omega_matrix(1)
+    conv = twisted_convolution_grid(f, h, form).values
+    pts = np.stack([xm, pm], -1)
+    direct = twisted_convolution(f, h, form, pts)
+    assert np.abs(conv - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+def test_twisted_convolution_grid_rejects_dim4():
+    g = Grid(4, 8, 4.0)
+    f = PhaseSpaceFn(g, np.ones(g.shape(), dtype=complex), "f")
+    with pytest.raises(ValueError, match="dim 4"):
+        twisted_convolution_grid(f, f, omega_matrix(2))
+
+
 def test_twisted_convolution_result_decays(mixture, vacuum):
     from phasespace import seminorm_table
 

@@ -41,7 +41,9 @@ from phasespace.verify import (
     suite_plan,
     worker_count,
 )
-from phasespace.states import displaced_overlaps
+from phasespace.grid import symplectic_form
+from phasespace.states import as_mixed, displaced_overlaps, random_mixture
+from phasespace.transforms import MatelSampler, husimi_at, wigner
 
 
 def nongaussian_window():
@@ -80,6 +82,35 @@ def test_cauchy_schwarz_check(mixture):
     report = check_cauchy_schwarz(mixture, n_pairs=200)
     assert report.passed
     assert report.samples == 200
+
+
+def cauchy_schwarz_loop(state, chi, seed, n_pairs):
+    """Reference residual: one MatelSampler call per matrix element."""
+    rho = as_mixed(state)
+    rng = np.random.default_rng(seed)
+    sampler = MatelSampler(rho, chi)
+    pts = rng.uniform(-2.0, 2.0, (n_pairs, 2, 2 * rho.n))
+    resid = 0.0
+    for alpha, beta in pts:
+        m2 = abs(sampler(alpha, beta)) ** 2
+        q_ab = sampler(alpha, alpha).real * sampler(beta, beta).real
+        resid = max(resid, m2 / q_ab - 1.0 if q_ab > 0 else m2)
+    for alpha, _ in pts[:20]:
+        m2 = abs(sampler(alpha, alpha)) ** 2
+        q2 = sampler(alpha, alpha).real ** 2
+        resid = max(resid, abs(m2 / q2 - 1.0) if q2 > 0 else m2)
+    return max(resid, 0.0)
+
+
+@pytest.mark.parametrize("which", ["fock1", 1, 2, 3])
+def test_cauchy_schwarz_matches_sampler_loop(which):
+    if which == "fock1":
+        state = fock_state(1)
+    else:
+        state = random_mixture(np.random.default_rng(which))
+    chi = vacuum_state(1)
+    batched = check_cauchy_schwarz(state, chi, seed=7, n_pairs=1000).residual
+    assert abs(batched - cauchy_schwarz_loop(state, chi, 7, 1000)) <= 1e-15
 
 
 def test_offdiag_check():
@@ -150,6 +181,62 @@ def test_from_matel_rejects_too_many_points(vacuum, grid):
 def test_decomp_vacuum(vacuum, grid):
     report = check_wigner_decomp(vacuum, points=[[0.0, 0.0]], grid=grid)
     assert report.residual < 5e-3
+
+
+def decomp_pairwise(rho, chi, points, n_nodes):
+    """Reference route: the coherent-pair sum built from 4-D pair arrays."""
+    atom = chi.atoms[0]
+    weight = abs(atom.coeff) ** 2 / np.pi
+    center = np.asarray(atom.alpha, dtype=float)
+    s = 0.4
+    axis = s * (np.arange(n_nodes) - n_nodes // 2)
+    mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    f_mesh = np.stack(
+        [displaced_overlaps(chi, mesh, ps) for ps in rho.pure_states]
+    )
+    m_pairs = np.einsum(
+        "j,ja,jb->ab", np.asarray(rho.weights), f_mesh, np.conj(f_mesh)
+    )
+    abar = 0.5 * (mesh[:, None, :] + mesh[None, :, :])
+    delta = mesh[:, None, :] - mesh[None, :, :]
+    totals = []
+    for gamma in points:
+        phase = np.exp(1j * symplectic_form(gamma - 0.5 * abar, delta))
+        w_chi = weight * np.exp(-((gamma - abar - center) ** 2).sum(-1))
+        totals.append((phase * w_chi * m_pairs).sum())
+    return s**4 / (2.0 * np.pi) ** 2 * np.array(totals)
+
+
+DECOMP_CASES = {
+    "vacuum-window": (fock_state(1), vacuum_state(1)),
+    "displaced-scaled-window": (
+        fock_state(1), PureState([Atom((0,), (0.6, -0.4), 0.8 - 0.5j)])
+    ),
+    "two-component-mixture": (
+        MixedState(
+            [0.7, 0.3],
+            [vacuum_state(1), fock_state(2).displaced(np.array([0.5, -0.3]))],
+        ),
+        vacuum_state(1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMP_CASES))
+@pytest.mark.parametrize("n_nodes", [12, 14, 16])
+def test_decomp_matches_pairwise_route(case, n_nodes):
+    state, chi = DECOMP_CASES[case]
+    rho = as_mixed(state)
+    grid = Grid(2, 64, 8.0)
+    points = grid.spacing * np.array([[0, 0], [4, 0], [-3, 5], [6, -2]])
+    refs = husimi_at(wigner(rho, grid), points)
+    totals = decomp_pairwise(rho, chi, points, n_nodes)
+    # one point per call, so each residual is |decomposition - W_rho| there
+    for point, ref, total in zip(points, refs, totals):
+        got = check_wigner_decomp(
+            rho, chi, points=[point], grid=grid, n_nodes=n_nodes
+        ).residual
+        assert abs(got - abs(total - ref)) <= 1e-12 * abs(total), point
 
 
 def test_decomp_rejects_multi_atom_window(vacuum, grid):
