@@ -50,6 +50,7 @@ from .states import (
     random_pure_state,
     save_state,
     vacuum_state,
+    wigner_values,
 )
 from .transforms import (
     MatelSampler,
@@ -124,4 +125,5 @@ __all__ = [
     "vacuum_state",
     "wigner",
     "wigner_pointwise",
+    "wigner_values",
 ]

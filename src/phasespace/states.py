@@ -336,10 +336,35 @@ def _dme_axis(m, n, zeta):
     )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         amp = _factorial_ratio_sqrt(small, small + k) * base**k * np.exp(-0.5 * r2)
+    log_amp = log_ratio + log_pow - 0.5 * r2
     if not np.all(in_range):
-        log_amp = log_ratio + log_pow - 0.5 * r2
         amp = np.where(in_range, amp, np.exp(log_amp + 1j * k * np.angle(base)))
-    return amp * eval_genlaguerre(small, k, r2)
+    lag = eval_genlaguerre(small, k, r2)
+    out = np.asarray(amp * lag)
+    huge = ~np.isfinite(lag)
+    if np.any(huge):
+        # the Laguerre factor overflowed where the amplitude underflows:
+        # fold log|L| into the log-space amplitude
+        sign, log_lag = _log_genlaguerre(small, k, r2[huge])
+        out[huge] = sign * np.exp(
+            log_amp[huge] + log_lag + 1j * k * np.angle(base[huge])
+        )
+    return out
+
+
+def _log_genlaguerre(n, k, x):
+    """(sign, log|L_n^(k)(x)|) for n >= 1 by the three-term recurrence,
+    rescaled at every step so that no intermediate value leaves the double
+    range."""
+    prev = np.ones_like(x)
+    cur = 1.0 + k - x
+    log_scale = np.zeros_like(x)
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
+        scale = np.maximum(np.abs(cur), np.abs(prev))
+        prev, cur = prev / scale, cur / scale
+        log_scale += np.log(scale)
+    return np.sign(cur), np.log(np.abs(cur)) + log_scale
 
 
 def displacement_matrix_element(m, n, xi):
@@ -429,6 +454,48 @@ def quasichar_values(state, xis):
                 )
         out += w * comp
     return out
+
+
+def wigner_values(state, points):
+    """W_rho at arbitrary points in closed form for analytic states.
+
+    points has shape (..., 2n); the result is real with shape (...,).
+    Uses the parity-displacement identity W_rho(z) = pi^{-n} tr[rho D_z Pi
+    D_z^dagger] (Grossmann 1976; Royer, Phys. Rev. A 15, 449 (1977)).  For
+    atoms c_a D_g phi_ma and c_b D_h phi_mb the pair term is
+
+        c_a conj(c_b) (-1)^{|ma|} pi^{-n} e^{i z /\\ (g - h) + (i/2) g /\\ h}
+        <phi_mb | D_{2z-g-h} | phi_ma>,
+
+    and the (b, a) term is its conjugate, so each unordered pair is
+    evaluated once.
+    """
+    rho = as_mixed(state)
+    if not rho.is_analytic:
+        raise ValueError("closed-form Wigner values need analytic states")
+    z = np.asarray(points, dtype=float)
+    if z.shape[-1] != 2 * rho.n:
+        raise ValueError(f"points last axis must be {2 * rho.n}")
+    out = np.zeros(z.shape[:-1])
+    for w, ps in zip(rho.weights, rho.pure_states):
+        if w == 0.0:
+            continue
+        for i, aa in enumerate(ps.atoms):
+            g = np.asarray(aa.alpha, dtype=float)
+            for ab in ps.atoms[i:]:
+                h = np.asarray(ab.alpha, dtype=float)
+                phase = np.exp(
+                    1j * symplectic_form(z, g - h) + 0.5j * symplectic_form(g, h)
+                )
+                term = (
+                    (-1) ** sum(aa.m)
+                    * aa.coeff
+                    * np.conj(ab.coeff)
+                    * phase
+                    * displacement_matrix_element(ab.m, aa.m, 2.0 * z - g - h)
+                ).real
+                out += w * (term if ab is aa else 2.0 * term)
+    return out / np.pi**rho.n
 
 
 def overlap_by_quadrature(phi, psi, n_nodes=8192, half=None):

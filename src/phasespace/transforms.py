@@ -16,7 +16,7 @@ from .grid import (
     symplectic_form,
     symplectic_fourier,
 )
-from .states import as_mixed, displaced_overlaps
+from .states import as_mixed, displaced_overlaps, wigner_values
 
 QUASICHAR_CROSS_TOL = 1e-6
 HUSIMI_CROSS_TOL = 1e-6
@@ -283,7 +283,8 @@ def offdiag_wigner(chi, alpha, beta, gammas):
     """Wigner transform of |chi_alpha><chi_beta| at points gammas.
 
     Closed form: e^{i (gamma - abar/2) /\\ dalpha} W_chi(gamma - abar)
-    with abar = (alpha+beta)/2 and dalpha = alpha - beta.
+    with abar = (alpha+beta)/2 and dalpha = alpha - beta; W_chi is the
+    Gaussian for a single m=0 atom and `wigner_values` otherwise.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -296,7 +297,7 @@ def offdiag_wigner(chi, alpha, beta, gammas):
         weight, center = params
         base = weight * np.exp(-((gammas - abar - center) ** 2).sum(-1))
     else:
-        base = wigner_pointwise(as_mixed(chi), gammas - abar).real
+        base = wigner_values(chi, gammas - abar)
     return phase * base
 
 

@@ -32,6 +32,7 @@ from .states import (
     pure_overlap,
     random_pure_state,
     vacuum_state,
+    wigner_values,
 )
 from .transforms import (
     gaussian_atom_params,
@@ -201,7 +202,7 @@ def check_husimi(state, chi=None, grid=None, tol=None, seed=0, n_samples=40):
     return _report("husimi", resid, tol, n_samples, grid, seed)
 
 
-def check_cauchy_schwarz(state, chi=None, grid=None, tol=None, seed=0, n_pairs=1000):
+def check_cauchy_schwarz(state, chi=None, tol=None, seed=0, n_pairs=1000):
     """|M(a,b)|^2 <= Q(a)Q(b); residual is the worst constraint violation."""
     tol = DEFAULT_TOLERANCES["cauchy-schwarz"] if tol is None else tol
     rho = as_mixed(state)
@@ -520,7 +521,8 @@ def heavy_tail_first_seminorms(k_max=6, sweep_step=0.05):
     """sup_x |x W(x, 0)| for the heavy-tail family, K = 1..k_max.
 
     The supremum over p sits at p = 0 for these states, so a 1-D sweep
-    suffices and works far outside any fixed grid box.
+    suffices and works far outside any fixed grid box.  W comes from the
+    closed form `wigner_values`, exact at any K.
     """
     values = []
     for k in range(1, k_max + 1):
@@ -528,17 +530,14 @@ def heavy_tail_first_seminorms(k_max=6, sweep_step=0.05):
         hi = float(k**3) + 4.0
         xs = np.arange(-4.0, hi, sweep_step)
         pts = np.stack([xs, np.zeros_like(xs)], -1)
-        vals = np.abs(xs * wigner_pointwise(rho, pts).real)
+        vals = np.abs(xs * wigner_values(rho, pts))
         i = int(np.argmax(vals))
         best, center = float(vals[i]), float(xs[i])
         width = sweep_step
         for _ in range(5):
             local = np.linspace(center - width, center + width, 17)
-            lv = np.abs(
-                local * wigner_pointwise(
-                    rho, np.stack([local, np.zeros_like(local)], -1)
-                ).real
-            )
+            local_pts = np.stack([local, np.zeros_like(local)], -1)
+            lv = np.abs(local * wigner_values(rho, local_pts))
             j = int(np.argmax(lv))
             if lv[j] > best:
                 best, center = float(lv[j]), float(local[j])
@@ -634,9 +633,7 @@ def run_suite(state, chi=None, config=None, demo=None):
             "duality": lambda: check_duality(rho, grid, tol, job_seed),
             "trace": lambda: check_trace(rho, chi, grid, tol, job_seed),
             "husimi": lambda: check_husimi(rho, chi, grid, tol, job_seed),
-            "cauchy-schwarz": lambda: check_cauchy_schwarz(
-                rho, chi, None, tol, job_seed
-            ),
+            "cauchy-schwarz": lambda: check_cauchy_schwarz(rho, chi, tol, job_seed),
             "marginal": lambda: check_marginal(rho, grid, tol, job_seed),
             "marginal-pointwise": lambda: check_marginal_pointwise(
                 rho, tol, job_seed

@@ -6,6 +6,7 @@ import pytest
 
 from phasespace import (
     Atom,
+    Grid,
     MixedState,
     PureState,
     as_mixed,
@@ -13,10 +14,14 @@ from phasespace import (
     displacement_matrix_element,
     fock_state,
     load_state,
+    offdiag_wigner,
     random_mixture,
     random_pure_state,
     save_state,
     vacuum_state,
+    wigner,
+    wigner_pointwise,
+    wigner_values,
 )
 from phasespace.states import (
     _factorial_ratio_sqrt,
@@ -166,6 +171,84 @@ def test_matrix_element_past_overflow_order(m, n, x):
     )
     assert abs(quad) > 0.01
     assert abs(closed - quad) < 1e-10
+
+
+@pytest.mark.parametrize("order", [300, 600])
+def test_matrix_element_where_laguerre_overflows(order):
+    # L_order(5000) overflows while e^{-2500} underflows; inf * 0 must not
+    # come back as NaN
+    xi = (100.0, 0.0)
+    closed = displacement_matrix_element((order,), (order,), xi)
+    quad = overlap_by_quadrature(
+        fock_state(order), fock_state(order).displaced(xi)
+    )
+    assert np.isfinite(closed)
+    assert abs(closed - quad) < 1e-10
+
+
+# --- closed-form Wigner values -------------------------------------------------
+
+
+def lattice_points(grid):
+    axes = (grid.axis(),) * grid.dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wigner_values_match_pointwise_quadrature(seed):
+    rho = random_mixture(np.random.default_rng(seed))
+    pts = np.random.default_rng(100 + seed).uniform(-3.0, 3.0, (40, 2))
+    closed = wigner_values(rho, pts)
+    assert closed.shape == (40,)
+    assert np.abs(closed - wigner_pointwise(rho, pts).real).max() < 1e-13
+
+
+def test_wigner_values_match_grid_wigner(mixture, grid):
+    w = wigner(mixture, grid)
+    closed = wigner_values(mixture, lattice_points(grid))
+    assert np.abs(closed - w.values).max() < 1e-13
+
+
+# N = 16 keeps the 4-D grid route to about a second; its own discretization
+# error there is about 1e-9 (the size of its imaginary residue)
+TWO_MODE_GRID = Grid(4, 16, 5.0)
+
+
+def test_two_mode_wigner_values_match_grid_wigner():
+    rho = random_mixture(
+        np.random.default_rng(5), n_components=1, n_atoms=2, n=2, disp=1.0
+    )
+    w = wigner(rho, TWO_MODE_GRID, reality_tol=1e-8)
+    closed = wigner_values(rho, lattice_points(TWO_MODE_GRID))
+    assert np.abs(closed - w.values).max() < 2e-8
+
+
+def test_two_mode_offdiag_wigner_matches_grid_wigner():
+    # at alpha = beta the off-diagonal Wigner function is W of chi_alpha
+    chi = PureState(
+        [Atom((1, 0), (0.2, -0.1, 0.3, 0.0), 1.0), Atom((0, 2), (0.0,) * 4, 0.5)]
+    ).normalized()
+    alpha = np.array([0.5, -0.5, 0.25, 0.0])
+    w = wigner(chi.displaced(alpha), TWO_MODE_GRID, reality_tol=1e-8)
+    vals = offdiag_wigner(chi, alpha, alpha, lattice_points(TWO_MODE_GRID))
+    assert np.abs(vals - w.values).max() < 2e-8
+
+
+def test_wigner_values_reject_plateau_by_name():
+    with pytest.raises(ValueError, match="analytic"):
+        wigner_values(demo_state("plateau"), np.zeros((3, 2)))
+
+
+def test_wigner_values_high_order_far_from_center():
+    # 2z - g - h has |.| = 100 here: the Laguerre factor overflows
+    center = np.array([1.0, -2.0])
+    state = fock_state(300).displaced(center)
+    z = center + np.array([30.0, 40.0])
+    val = wigner_values(state, z)
+    assert np.isfinite(val)
+    assert abs(val) < 1e-12
+    # and the origin of the atom still carries the parity value (-1)^300 / pi
+    assert wigner_values(state, center) == pytest.approx(1.0 / np.pi, rel=1e-12)
 
 
 def test_plateau_values():

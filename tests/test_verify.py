@@ -43,7 +43,7 @@ from phasespace.verify import (
 )
 from phasespace.grid import symplectic_form
 from phasespace.states import as_mixed, displaced_overlaps, random_mixture
-from phasespace.transforms import MatelSampler, husimi_at, wigner
+from phasespace.transforms import MatelSampler, husimi_at, wigner, wigner_pointwise
 
 
 def nongaussian_window():
@@ -295,6 +295,37 @@ def test_heavy_tail_growth_quick():
     assert values[0] < values[1] < values[2]
     report = check_heavy_tail_trend(k_max=3)
     assert report.passed
+
+
+def test_heavy_tail_values_unchanged():
+    # the values the 4096-node quadrature gave before the closed form
+    expected = [
+        0.3802983797110925,
+        0.5112737420235692,
+        0.7018214469309567,
+        0.8944277265259221,
+        1.0874301805776974,
+        1.280597947978353,
+    ]
+    values = heavy_tail_first_seminorms(6)
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+
+
+def test_heavy_tail_large_k_against_quadrature_oracle():
+    # the fixed 4096 nodes over +-(2 reach + 2) alias the Gaussian at large K;
+    # +-20 resolves it.  The supremum sits at the farthest atom, x ~ K^3,
+    # so the oracle zooms there in two stages of 101 points.
+    values = heavy_tail_first_seminorms(20)
+    for k in (16, 20):
+        rho = demo_state("heavy_tail", K=k)
+        center, width = float(k**3), 0.5
+        for _ in range(2):
+            xs = center + np.linspace(-width, width, 101)
+            pts = np.stack([xs, np.zeros_like(xs)], -1)
+            vals = np.abs(xs * wigner_pointwise(rho, pts, y_half=20.0).real)
+            center, width = float(xs[np.argmax(vals)]), 0.02 * width
+        oracle = float(vals.max())
+        assert abs(values[k - 1] - oracle) <= 1e-7 * oracle, k
 
 
 def test_plateau_decay_window():
