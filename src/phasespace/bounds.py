@@ -31,7 +31,7 @@ from .seminorms import (
     seminorm_table,
 )
 from .states import as_mixed, vacuum_state
-from .transforms import MatelSampler, husimi, offdiag_wigner, wigner
+from .transforms import _husimi_from_wigner, matel, offdiag_wigner, wigner
 
 DEFAULT_TOL = 1e-6
 CS_TOL = 1e-9
@@ -68,22 +68,18 @@ class BoundReport:
 
 def cauchy_schwarz_reports(state, chi, pairs):
     """|M(alpha,beta)|^2 <= Q(alpha) Q(beta), one report per pair."""
-    sampler = MatelSampler(state, chi)
-    reports = []
-    for alpha, beta in pairs:
-        m = sampler(alpha, beta)
-        q_a = sampler(alpha, alpha).real
-        q_b = sampler(beta, beta).real
-        reports.append(
-            BoundReport(
-                "cauchy-schwarz",
-                (tuple(alpha), tuple(beta)),
-                abs(m) ** 2,
-                q_a * q_b,
-                CS_TOL,
-            )
+    if len(pairs) == 0:
+        return []
+    alphas, betas = np.moveaxis(np.asarray(pairs, dtype=float), 1, 0)
+    m2 = np.abs(matel(state, chi, alphas, betas)) ** 2
+    q_a = matel(state, chi, alphas, alphas).real
+    q_b = matel(state, chi, betas, betas).real
+    return [
+        BoundReport(
+            "cauchy-schwarz", (tuple(a), tuple(b)), float(lhs), float(qa * qb), CS_TOL
         )
-    return reports
+        for (a, b), lhs, qa, qb in zip(pairs, m2, q_a, q_b)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +192,10 @@ class BoundContext:
         )
 
     def q_rho(self):
+        if not self.chi.is_analytic:
+            raise ValueError("reference chi must be an analytic state")
         return self._get(
-            "q", lambda: husimi(self.rho, self.chi, self.grid, cross_check=False)
+            "q", lambda: _husimi_from_wigner(self.w_rho(), self.w_chi())
         )
 
     def chi_table(self):

@@ -62,8 +62,8 @@ def _config_value(key, value, where):
         return "seed", seed
     if key == "band":
         band = float(value)
-        if not (0.0 < band <= 0.5):
-            raise ValueError(f"{where}: band out of range (0, 0.5]: {band}")
+        if not (0.0 <= band < 0.5):
+            raise ValueError(f"{where}: band out of range [0, 0.5): {band}")
         return "band", band
     if key == "threads":
         n_workers = int(value)
@@ -219,7 +219,9 @@ def _resolve_grid(args, state):
     parts = args.grid.split(",")
     if len(parts) != 2:
         raise ValueError(f"--grid expects N,L, got {args.grid!r}")
-    n_pts, half = int(parts[0]), float(parts[1])
+    # the same range checks as the config keys grid.N and grid.L
+    _, n_pts = _config_value("grid.N", parts[0], "--grid")
+    _, half = _config_value("grid.L", parts[1], "--grid")
     return Grid(2 * as_mixed(state).n, n_pts, half)
 
 

@@ -319,10 +319,11 @@ def _dme_axis(m, n, zeta):
 
     With k = |m - n| and w = zeta (m >= n) or -conj(zeta) (m < n) this is
     sqrt(min! / max!) w^k e^{-|zeta|^2/2} L_min^(k)(|zeta|^2).  Where one of
-    the three amplitude factors would leave the double range (high orders
-    at matching displacement) they are combined in log space and the phase
-    e^{ik arg w} is put back afterwards; elsewhere the direct product is
-    kept, so moderate orders give the same values as before.
+    the four factors would leave the double range (high orders, or a
+    Gaussian factor that goes subnormal) log|L| from a rescaled recurrence
+    joins the log-space amplitude and the phase e^{ik arg w} is put back
+    afterwards; elsewhere the direct product is kept, so moderate orders
+    give the same values as before.
     """
     zeta = np.asarray(zeta, dtype=complex)
     r2 = (zeta * np.conj(zeta)).real
@@ -336,30 +337,24 @@ def _dme_axis(m, n, zeta):
     )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         amp = _factorial_ratio_sqrt(small, small + k) * base**k * np.exp(-0.5 * r2)
-    log_amp = log_ratio + log_pow - 0.5 * r2
-    if not np.all(in_range):
-        amp = np.where(in_range, amp, np.exp(log_amp + 1j * k * np.angle(base)))
-    lag = eval_genlaguerre(small, k, r2)
-    out = np.asarray(amp * lag)
-    huge = ~np.isfinite(lag)
-    if np.any(huge):
-        # the Laguerre factor overflowed where the amplitude underflows:
-        # fold log|L| into the log-space amplitude
-        sign, log_lag = _log_genlaguerre(small, k, r2[huge])
-        out[huge] = sign * np.exp(
-            log_amp[huge] + log_lag + 1j * k * np.angle(base[huge])
-        )
+        lag = eval_genlaguerre(small, k, r2)
+        out = np.asarray(amp * lag)
+    far = ~(in_range & np.isfinite(lag))
+    if np.any(far):
+        log_amp = log_ratio + log_pow[far] - 0.5 * r2[far]
+        sign, log_lag = _log_genlaguerre(small, k, r2[far])
+        out[far] = sign * np.exp(log_amp + log_lag + 1j * k * np.angle(base[far]))
     return out
 
 
 def _log_genlaguerre(n, k, x):
-    """(sign, log|L_n^(k)(x)|) for n >= 1 by the three-term recurrence,
-    rescaled at every step so that no intermediate value leaves the double
-    range."""
-    prev = np.ones_like(x)
-    cur = 1.0 + k - x
+    """(sign, log|L_n^(k)(x)|) by the three-term recurrence from L_-1 = 0,
+    L_0 = 1, rescaled at every step so that no intermediate value leaves
+    the double range."""
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
     log_scale = np.zeros_like(x)
-    for j in range(1, n):
+    for j in range(n):
         prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
         scale = np.maximum(np.abs(cur), np.abs(prev))
         prev, cur = prev / scale, cur / scale

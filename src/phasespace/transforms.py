@@ -120,26 +120,29 @@ def _interior_samples(grid, count=9):
     return -grid.half_extent + grid.spacing * idx
 
 
-def husimi(state, chi, grid, cross_check=True):
-    """Q(alpha) = <chi_alpha| rho |chi_alpha> via (2pi)^n (W_rho * W_chi^-)."""
-    rho = as_mixed(state)
-    if not chi.is_analytic:
-        raise ValueError("reference chi must be an analytic state")
-    n = rho.n
-    w_rho = wigner(rho, grid).values
-    w_chi = wigner(as_mixed(chi), grid).values
+def _husimi_from_wigner(w_rho, w_chi):
+    """Q = (2pi)^n (W_rho * W_chi^-) from two Wigner functions on one grid."""
+    grid = w_rho.grid
     h = grid.spacing
-    conv = np.fft.fftn(np.fft.ifftshift(w_rho)) * np.fft.fftn(
-        np.fft.ifftshift(_reflect(w_chi))
+    conv = np.fft.fftn(np.fft.ifftshift(w_rho.values)) * np.fft.fftn(
+        np.fft.ifftshift(_reflect(w_chi.values))
     )
     conv = np.fft.fftshift(np.fft.ifftn(conv)) * h**grid.dim
-    vals = (2.0 * np.pi) ** n * conv.real
+    vals = (2.0 * np.pi) ** (grid.dim // 2) * conv.real
     low = vals.min()
     if low < HUSIMI_NEGATIVITY_FLOOR:
         raise GridResolutionError(
             f"Husimi negativity {low:.2e} signals truncation error"
         )
-    fn = PhaseSpaceFn(grid, vals, "husimi")
+    return PhaseSpaceFn(grid, vals, "husimi")
+
+
+def husimi(state, chi, grid, cross_check=True):
+    """Q(alpha) = <chi_alpha| rho |chi_alpha> via (2pi)^n (W_rho * W_chi^-)."""
+    rho = as_mixed(state)
+    if not chi.is_analytic:
+        raise ValueError("reference chi must be an analytic state")
+    fn = _husimi_from_wigner(wigner(rho, grid), wigner(as_mixed(chi), grid))
     if cross_check:
         pts = _interior_samples(grid)
         direct = matel(rho, chi, pts, pts).real

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import BoundContext
 from .grid import (
+    DEFAULT_BAND,
     DEFAULT_L,
     DEFAULT_N,
     Grid,
@@ -36,7 +38,6 @@ from .states import (
 )
 from .transforms import (
     gaussian_atom_params,
-    husimi,
     husimi_at,
     matel,
     momentum_density,
@@ -99,8 +100,11 @@ def check_seed(name, base_seed):
     return (zlib.crc32(name.encode()) ^ (base_seed * 0x9E3779B1)) & 0x7FFFFFFF
 
 
-def _default_grid():
-    return Grid(2, DEFAULT_N, DEFAULT_L)
+def _context(state, chi=None, grid=None):
+    """The suite's shared BoundContext as it is, or a new one for a state."""
+    if isinstance(state, BoundContext):
+        return state
+    return BoundContext(state, chi, grid)
 
 
 def suggest_grid(state, base_n=DEFAULT_N, base_l=DEFAULT_L):
@@ -135,25 +139,25 @@ def _report(name, residual, tol, samples, grid, seed, info=None):
 
 def check_duality(state, grid=None, tol=None, seed=0):
     """wigner(rho) against the symplectic Fourier transform of quasichar."""
-    grid = grid or _default_grid()
+    ctx = _context(state, grid=grid)
+    grid = ctx.grid
     tol = DEFAULT_TOLERANCES["duality"] if tol is None else tol
-    w_fn = wigner(state, grid)
-    x_fn = quasichar(state, grid, cross_check=False)
+    w_fn = ctx.w_rho()
+    x_fn = quasichar(ctx.rho, grid, cross_check=False)
     dual = symplectic_fourier(x_fn, "forward")
-    mask = grid.interior_mask()
+    mask = grid.interior_mask(DEFAULT_BAND if ctx.band is None else ctx.band)
     resid = np.abs(dual.values - w_fn.values)[mask].max()
     return _report("duality", resid, tol, int(mask.sum()), grid, seed)
 
 
 def check_trace(state, chi=None, grid=None, tol=None, seed=0):
     """quadrature(W) and (2pi)^{-n} quadrature(Q) against trace rho."""
-    grid = grid or _default_grid()
+    ctx = _context(state, chi, grid)
+    grid, rho = ctx.grid, ctx.rho
     tol = DEFAULT_TOLERANCES["trace"] if tol is None else tol
-    rho = as_mixed(state)
-    chi = chi or vacuum_state(rho.n)
     tr = rho.trace()
-    w_fn = wigner(rho, grid)
-    q_fn = husimi(rho, chi, grid, cross_check=False)
+    w_fn = ctx.w_rho()
+    q_fn = ctx.q_rho()
     scale = (2.0 * np.pi) ** rho.n
     resid = max(
         abs(grid.quadrature(w_fn.values) - tr),
@@ -164,11 +168,11 @@ def check_trace(state, chi=None, grid=None, tol=None, seed=0):
 
 def check_overlap(state, grid=None, tol=None, seed=0, n_partners=3):
     """tr[rho eta] = (2pi)^n int W_rho W_eta for random partner states."""
-    grid = grid or _default_grid()
+    ctx = _context(state, grid=grid)
+    grid, rho = ctx.grid, ctx.rho
     tol = DEFAULT_TOLERANCES["overlap"] if tol is None else tol
-    rho = as_mixed(state)
     rng = np.random.default_rng(seed)
-    w_rho = wigner(rho, grid)
+    w_rho = ctx.w_rho()
     resid = 0.0
     for _ in range(n_partners):
         eta = random_pure_state(rng)
@@ -186,17 +190,16 @@ def check_overlap(state, grid=None, tol=None, seed=0, n_partners=3):
 
 def check_husimi(state, chi=None, grid=None, tol=None, seed=0, n_samples=40):
     """Convolution-route Husimi against direct matrix elements."""
-    grid = grid or _default_grid()
+    ctx = _context(state, chi, grid)
+    grid = ctx.grid
     tol = DEFAULT_TOLERANCES["husimi"] if tol is None else tol
-    rho = as_mixed(state)
-    chi = chi or vacuum_state(rho.n)
-    q_fn = husimi(rho, chi, grid, cross_check=False)
+    q_fn = ctx.q_rho()
     rng = np.random.default_rng(seed)
     idx = rng.integers(
         grid.n_points // 4, 3 * grid.n_points // 4, (n_samples, grid.dim)
     )
     pts = -grid.half_extent + grid.spacing * idx
-    direct = matel(rho, chi, pts, pts).real
+    direct = matel(ctx.rho, ctx.chi, pts, pts).real
     grid_vals = q_fn.values[tuple(idx[:, i] for i in range(grid.dim))]
     resid = np.abs(grid_vals - direct).max()
     return _report("husimi", resid, tol, n_samples, grid, seed)
@@ -205,8 +208,8 @@ def check_husimi(state, chi=None, grid=None, tol=None, seed=0, n_samples=40):
 def check_cauchy_schwarz(state, chi=None, tol=None, seed=0, n_pairs=1000):
     """|M(a,b)|^2 <= Q(a)Q(b); residual is the worst constraint violation."""
     tol = DEFAULT_TOLERANCES["cauchy-schwarz"] if tol is None else tol
-    rho = as_mixed(state)
-    chi = chi or vacuum_state(rho.n)
+    ctx = _context(state, chi)
+    rho, chi = ctx.rho, ctx.chi
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-2.0, 2.0, (n_pairs, 2, 2 * rho.n))
     alphas, betas = pts[:, 0], pts[:, 1]
@@ -267,10 +270,10 @@ def check_reproducing(
 ):
     """M(a,b) against the coherent-resolution quadrature in each slot."""
     tol = DEFAULT_TOLERANCES["reproducing"] if tol is None else tol
-    rho = as_mixed(state)
+    ctx = _context(state, chi)
+    rho, chi = ctx.rho, ctx.chi
     if rho.n != 1:
         raise ValueError("reproducing check implemented for n=1")
-    chi = chi or vacuum_state(1)
     rng = np.random.default_rng(seed)
     if samples is None:
         samples = list(rng.uniform(-1.5, 1.5, (10, 2, 2)))
@@ -312,11 +315,10 @@ def check_wigner_from_matel(
 ):
     """W(alpha) from the doubled-phase-space matrix-element integral."""
     tol = DEFAULT_TOLERANCES["wigner-from-matel"] if tol is None else tol
-    rho = as_mixed(state)
+    ctx = _context(state, chi, grid)
+    rho, chi, grid = ctx.rho, ctx.chi, ctx.grid
     if rho.n != 1:
         raise ValueError("4-D checks implemented for n=1")
-    chi = chi or vacuum_state(1)
-    grid = grid or _default_grid()
     if points is None:
         points = _four_d_points(grid)
     if len(points) > 8:
@@ -345,7 +347,7 @@ def check_wigner_from_matel(
             vx = np.exp(0.5j * axis * axis[mp])
             vp = np.exp(-0.5j * axis * axis[mx])
             g_vals[mx, mp] = s * s * (vx @ col @ vp)
-    w_ref = wigner(rho, grid)
+    w_ref = ctx.w_rho()
     resid = 0.0
     for pt in np.asarray(points, dtype=float):
         wx = np.exp(1j * pt[1] * axis)
@@ -375,15 +377,14 @@ def check_wigner_decomp(
     sum_j w_j (u f_j)^T K (v conj(f_j)).
     """
     tol = DEFAULT_TOLERANCES["wigner-decomp"] if tol is None else tol
-    rho = as_mixed(state)
+    ctx = _context(state, chi, grid)
+    rho, chi, grid = ctx.rho, ctx.chi, ctx.grid
     if rho.n != 1:
         raise ValueError("4-D checks implemented for n=1")
-    chi = chi or vacuum_state(1)
     window = gaussian_atom_params(chi)
     if window is None:
         raise ValueError("decomposition check needs a single-Gaussian chi")
     kappa, center = window
-    grid = grid or _default_grid()
     if points is None:
         points = _four_d_points(grid)
     if len(points) > 8:
@@ -395,7 +396,7 @@ def check_wigner_decomp(
         [displaced_overlaps(chi, mesh, ps) for ps in rho.pure_states]
     )
     weights = np.asarray(rho.weights)
-    w_ref = wigner(rho, grid)
+    w_ref = ctx.w_rho()
     points = np.asarray(points, dtype=float)
     z = mesh[:, 0] + 1j * mesh[:, 1]
     # K(a, b) for every node pair, exponentiated in place (one A x A array)
@@ -423,12 +424,12 @@ def check_wigner_decomp(
 
 def check_marginal(state, grid=None, tol=None, seed=0):
     """Momentum marginal of W against the weighted momentum densities."""
-    grid = grid or _default_grid()
+    ctx = _context(state, grid=grid)
+    grid, rho = ctx.grid, ctx.rho
     tol = DEFAULT_TOLERANCES["marginal"] if tol is None else tol
-    rho = as_mixed(state)
     if rho.n != 1:
         raise ValueError("marginal check implemented for n=1")
-    w_fn = wigner(rho, grid)
+    w_fn = ctx.w_rho()
     p_axis, marg = momentum_marginal(w_fn)
     dens = np.zeros_like(marg)
     for w, ps in zip(rho.weights, rho.pure_states):
@@ -445,7 +446,7 @@ def check_marginal_pointwise(state, tol=None, seed=0, p_max=10.0, n_p=41, step=0
     indicator-type supports are integrated without edge bias.
     """
     tol = DEFAULT_TOLERANCES["marginal-pointwise"] if tol is None else tol
-    rho = as_mixed(state)
+    rho = _context(state).rho
     if rho.n != 1:
         raise ValueError("marginal check implemented for n=1")
     reach = rho.reach()
@@ -484,10 +485,10 @@ def check_twisted_expansion(
 ):
     """d^a of a twisted convolution against its binomial expansion."""
     tol = DEFAULT_TOLERANCES["twisted-expansion"] if tol is None else tol
-    rho = as_mixed(state)
+    ctx = _context(state, chi)
+    rho, chi = ctx.rho, ctx.chi
     if rho.n != 1:
         raise ValueError("twisted expansion check implemented for n=1")
-    chi = chi or vacuum_state(1)
     grid = grid or Grid(2, 64, 8.0)
     form = 2.0 * omega_matrix(1)
     f_fn = wigner(as_mixed(chi), grid)
@@ -614,62 +615,53 @@ def suite_plan(state, demo=None):
 def run_suite(state, chi=None, config=None, demo=None):
     """Run every applicable check concurrently; never abort on failure.
 
-    Results are returned in plan order regardless of completion order,
-    so identical inputs yield identical report tables.
+    One BoundContext on the suggested grid holds W_rho, W_chi and Q_rho
+    for every check; it is filled before the pool fans out, so the
+    workers only read it.  Results are returned in plan order regardless
+    of completion order, so identical inputs yield identical report tables.
     """
     rho = as_mixed(state)
-    chi = chi or vacuum_state(rho.n)
     grid_n = getattr(config, "grid_n", DEFAULT_N)
     grid_l = getattr(config, "grid_l", DEFAULT_L)
     seed = getattr(config, "seed", 0)
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(getattr(config, "tolerances", {}) or {})
     grid = suggest_grid(rho, grid_n, grid_l)
+    ctx = BoundContext(rho, chi, grid, band=getattr(config, "band", None))
+    plan = suite_plan(rho, demo)
+    # built per call, so a check rebound on this module (a tracing wrapper) runs
+    state_checks = {
+        "duality": check_duality,
+        "trace": check_trace,
+        "husimi": check_husimi,
+        "cauchy-schwarz": check_cauchy_schwarz,
+        "marginal": check_marginal,
+        "marginal-pointwise": check_marginal_pointwise,
+        "overlap": check_overlap,
+        "reproducing": check_reproducing,
+        "wigner-from-matel": check_wigner_from_matel,
+        "wigner-decomp": check_wigner_decomp,
+        "twisted-expansion": check_twisted_expansion,
+    }
 
-    def make_job(name):
-        tol = tols.get(name)
-        job_seed = check_seed(name, seed)
-        table = {
-            "duality": lambda: check_duality(rho, grid, tol, job_seed),
-            "trace": lambda: check_trace(rho, chi, grid, tol, job_seed),
-            "husimi": lambda: check_husimi(rho, chi, grid, tol, job_seed),
-            "cauchy-schwarz": lambda: check_cauchy_schwarz(rho, chi, tol, job_seed),
-            "marginal": lambda: check_marginal(rho, grid, tol, job_seed),
-            "marginal-pointwise": lambda: check_marginal_pointwise(
-                rho, tol, job_seed
-            ),
-            "overlap": lambda: check_overlap(rho, grid, tol, job_seed),
-            "offdiag": lambda: check_offdiag(chi, tol, job_seed),
-            "reproducing": lambda: check_reproducing(
-                rho, chi, None, tol, job_seed
-            ),
-            "wigner-from-matel": lambda: check_wigner_from_matel(
-                rho, chi, None, grid, tol, job_seed
-            ),
-            "wigner-decomp": lambda: check_wigner_decomp(
-                rho, chi, None, grid, tol, job_seed
-            ),
-            "twisted-expansion": lambda: check_twisted_expansion(
-                rho, chi, tol, job_seed
-            ),
-            "plateau-decay": lambda: check_plateau_decay(job_seed),
-            "heavy-tail-trend": lambda: check_heavy_tail_trend(6, job_seed),
-        }
-        return table[name]
-
-    def run_job(job, name, job_seed):
+    def run_job(name):
+        tol, job_seed = tols.get(name), check_seed(name, seed)
         try:
-            return job()
+            if name == "offdiag":
+                return check_offdiag(ctx.chi, tol=tol, seed=job_seed)
+            if name == "plateau-decay":
+                return check_plateau_decay(job_seed)
+            if name == "heavy-tail-trend":
+                return check_heavy_tail_trend(6, job_seed)
+            return state_checks[name](ctx, tol=tol, seed=job_seed)
         except Exception as exc:  # recorded, never aborts the suite
             return VerifyReport(
                 name, np.inf, 0.0, 0, 0, 0.0, job_seed, {"error": str(exc)}
             )
 
-    plan = suite_plan(rho, demo)
     n_workers = getattr(config, "threads", 0) or worker_count()
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(run_job, make_job(name), name, check_seed(name, seed))
-            for name in plan
-        ]
-        return [f.result() for f in futures]
+        if rho.is_analytic:
+            # a failed build is retried, and recorded, by each check that needs it
+            pool.submit(ctx.q_rho).exception()
+        return list(pool.map(run_job, plan))

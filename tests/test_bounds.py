@@ -11,15 +11,19 @@ from phasespace import (
     BoundReport,
     Grid,
     cauchy_schwarz_reports,
+    fock_state,
     offdiag_bound_rhs,
     offdiag_grid_fn,
+    random_mixture,
     seminorm,
     seminorm_table,
     vacuum_state,
     wigner,
 )
+from phasespace import bounds
 from phasespace.bounds import chi_seminorm_table, offdiag_loose_rhs, offdiag_tight_rhs
 from phasespace.multiindex import add, add_scalar, order, scale, swap_xp
+from phasespace.transforms import MatelSampler
 
 Z = (0, 0)
 
@@ -59,6 +63,27 @@ def test_cs_strict_for_mixtures(mixture):
 
 
 # --- report mechanics ------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_cs_reports_match_sampler_loop(seed):
+    # the batched reports against one MatelSampler call per matrix element
+    if seed is None:
+        state = fock_state(1)
+    else:
+        state = random_mixture(np.random.default_rng(seed))
+    chi = vacuum_state(1)
+    draws = np.random.default_rng(5).uniform(-2.5, 2.5, size=(40, 2, 2))
+    pairs = [(row[0], row[1]) for row in draws]
+    sampler = MatelSampler(state, chi)
+    reports = cauchy_schwarz_reports(state, chi, pairs)
+    assert len(reports) == len(pairs)
+    for report, (alpha, beta) in zip(reports, pairs):
+        assert report.indices == (tuple(alpha), tuple(beta))
+        assert abs(report.lhs - abs(sampler(alpha, beta)) ** 2) <= 1e-15
+        rhs = sampler(alpha, alpha).real * sampler(beta, beta).real
+        assert abs(report.rhs - rhs) <= 1e-15
+    assert not hasattr(bounds, "MatelSampler")
 
 
 def test_report_ratio_zero_rhs():

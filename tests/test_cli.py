@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasespace import Grid, save_state, vacuum_state, wigner
-from phasespace import cli
+from phasespace import cli, transforms
 from phasespace.cli import (
     BOUND_HEADER,
     SEMINORM_HEADER,
@@ -109,6 +109,32 @@ def test_run_config_defaults():
     cfg = RunConfig()
     assert (cfg.grid_n, cfg.grid_l, cfg.seed, cfg.band) == (256, 12.0, 0, 0.1)
     assert cfg.threads == 0 and cfg.tolerances == {}
+
+
+def test_parse_config_band_range(tmp_path):
+    # the band is the seminorms' [0, 0.5): 0.5 would leave no interior
+    path = tmp_path / "band.cfg"
+    path.write_text("band = 0.5\n")
+    with pytest.raises(ValueError, match="out of range"):
+        parse_config(path)
+    path.write_text("band = 0\n")
+    assert parse_config(path).band == 0.0
+
+
+@pytest.mark.parametrize(
+    "flag,needle",
+    [("131072,12", "grid.N out of range [8, 65536]"),
+     ("64,2e4", "grid.L out of range (0, 1e4]")],
+)
+def test_grid_flag_range_checked_first(monkeypatch, capsys, flag, needle):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran on an out-of-range grid")
+
+    for module in (transforms, cli):
+        monkeypatch.setattr(module, "wigner", no_transform)
+    assert run_cli("wigner", "--demo", "vacuum", "--grid", flag) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and needle in err
 
 
 # --- transform subcommands ------------------------------------------------------

@@ -186,6 +186,39 @@ def test_matrix_element_where_laguerre_overflows(order):
     assert abs(closed - quad) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "m,n,xi",
+    [
+        (100, 100, (54.5, 0.0)),
+        (100, 100, (54.6, 0.0)),
+        (100, 100, (60.0, 0.0)),
+        (120, 80, (58.0, 0.0)),
+        (120, 80, (58.0, 3.0)),
+        (80, 120, (-20.0, 55.0)),
+        (0, 0, (40.0, 0.0)),
+        (0, 5, (40.0, 1.0)),
+    ],
+)
+def test_matrix_element_where_gaussian_goes_subnormal(m, n, xi):
+    # e^{-|zeta|^2/2} is subnormal or 0 here while L is finite; the value
+    # must keep full relative precision instead of rounding off or to 0
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        zeta = mp.mpc(*xi) / mp.sqrt(2)
+        small, k = min(m, n), abs(m - n)
+        w = zeta if m >= n else -mp.conj(zeta)
+        r2 = abs(zeta) ** 2
+        exact = complex(
+            mp.sqrt(mp.factorial(small) / mp.factorial(small + k))
+            * w**k
+            * mp.exp(-r2 / 2)
+            * mp.laguerre(small, k, r2)
+        )
+    got = displacement_matrix_element((m,), (n,), xi)
+    assert exact != 0
+    assert abs(got - exact) <= 1e-11 * abs(exact)
+
+
 # --- closed-form Wigner values -------------------------------------------------
 
 

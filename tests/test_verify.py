@@ -9,7 +9,9 @@ import pytest
 
 from phasespace import (
     Atom,
+    BoundContext,
     Grid,
+    GridResolutionError,
     MixedState,
     PureState,
     VerifyReport,
@@ -41,9 +43,16 @@ from phasespace.verify import (
     suite_plan,
     worker_count,
 )
-from phasespace.grid import symplectic_form
+from phasespace import bounds, transforms, verify
+from phasespace.grid import symplectic_form, symplectic_fourier
 from phasespace.states import as_mixed, displaced_overlaps, random_mixture
-from phasespace.transforms import MatelSampler, husimi_at, wigner, wigner_pointwise
+from phasespace.transforms import (
+    MatelSampler,
+    husimi_at,
+    quasichar,
+    wigner,
+    wigner_pointwise,
+)
 
 
 def nongaussian_window():
@@ -431,3 +440,72 @@ def test_tolerance_table_complete():
         "marginal-pointwise", "twisted-expansion",
     }
     assert set(DEFAULT_TOLERANCES) == expected
+
+
+# --- one shared workspace per suite -----------------------------------------
+
+GRID_CHECKS = {
+    "duality": check_duality,
+    "trace": check_trace,
+    "husimi": check_husimi,
+    "overlap": check_overlap,
+    "marginal": check_marginal,
+    "wigner-from-matel": check_wigner_from_matel,
+    "wigner-decomp": check_wigner_decomp,
+}
+
+
+def test_run_suite_builds_each_wigner_once(monkeypatch):
+    calls = []
+    real_wigner = transforms.wigner
+
+    def counting_wigner(state, grid, *args, **kwargs):
+        calls.append(grid.n_points)
+        return real_wigner(state, grid, *args, **kwargs)
+
+    for module in (transforms, bounds, verify):
+        monkeypatch.setattr(module, "wigner", counting_wigner)
+    reports = run_suite(fock_state(1), config=SimpleNamespace(threads=2))
+    assert all(r.passed for r in reports)
+    # W_rho and W_chi on the suite grid, the three overlap partners, and
+    # W_chi and W_rho on the twisted-expansion check's own 64-point grid
+    assert sorted(calls) == [64, 64, 256, 256, 256, 256, 256]
+
+
+def test_grid_checks_same_rows_with_shared_context(mixture, grid):
+    ctx = BoundContext(mixture, grid=grid)
+    for name, check in GRID_CHECKS.items():
+        alone = check(mixture, grid=grid, seed=3).row()
+        assert check(ctx, seed=3).row() == alone, name
+
+
+def test_failed_shared_build_recorded_by_each_check(monkeypatch):
+    rho = as_mixed(fock_state(1))
+    real_wigner = bounds.wigner
+
+    def failing_wigner(state, grid, *args, **kwargs):
+        if state is rho:
+            raise GridResolutionError("W_rho build failed")
+        return real_wigner(state, grid, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "wigner", failing_wigner)
+    # more workers than checks that retry the failed build at once
+    reports = run_suite(rho, config=SimpleNamespace(threads=8))
+    assert [r.name for r in reports] == suite_plan(rho)
+    for report in reports:
+        if report.name in GRID_CHECKS:
+            assert report.info["error"] == "W_rho build failed", report.name
+            assert np.isinf(report.residual)
+        else:
+            assert report.passed, report.name
+
+
+def test_suite_band_sets_duality_mask(vacuum, grid):
+    config = SimpleNamespace(threads=2, band=0.2)
+    duality = run_suite(vacuum, config=config)[0]
+    assert duality.name == "duality"
+    dual = symplectic_fourier(quasichar(vacuum, grid, cross_check=False), "forward")
+    mask = grid.interior_mask(0.2)
+    expected = np.abs(dual.values - wigner(vacuum, grid).values)[mask].max()
+    assert duality.residual == expected
+    assert duality.samples == mask.sum() < grid.interior_mask().sum()
