@@ -175,9 +175,17 @@ class BoundContext:
         self._cache = {}
 
     def _get(self, key, builder):
+        """The cached value of key, built on first use; a build that raised
+        is recorded and its exception raised again for every later reader."""
         if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+            try:
+                self._cache[key] = builder()
+            except Exception as exc:
+                self._cache[key] = exc
+        value = self._cache[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     @property
     def dim(self):

@@ -80,11 +80,22 @@ class Grid:
             raise ValueError(f"values shape {values.shape} != grid {self.shape()}")
         return self.spacing**self.dim * values.sum()
 
+    def interior_range(self, band=DEFAULT_BAND):
+        """(lo, hi) of the axis slice left after int(round(band*N)) points
+        are dropped at each end; band must be in [0, 0.5) and leave a point."""
+        if not 0.0 <= band < 0.5:
+            raise ValueError(f"band {band!r} outside [0, 0.5)")
+        lo = int(round(band * self.n_points))
+        hi = self.n_points - lo
+        if hi <= lo:
+            raise ValueError(f"band {band!r} leaves no interior points")
+        return lo, hi
+
     def interior_mask(self, band=DEFAULT_BAND):
-        """Boolean mask excluding int(round(band*N)) points per axis end."""
-        m = int(round(band * self.n_points))
+        """Boolean mask of the interior_range slice on every axis."""
+        lo, hi = self.interior_range(band)
         one = np.zeros(self.n_points, dtype=bool)
-        one[m : self.n_points - m] = True
+        one[lo:hi] = True
         mask = one
         for _ in range(self.dim - 1):
             mask = mask[..., None] & one

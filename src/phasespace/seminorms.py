@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DEFAULT_BAND, Grid, GridResolutionError, derivative_coefficients
-from .multiindex import as_index, box, monomial, order
-from .states import as_mixed
+from .multiindex import as_index, box, order
+from .states import as_mixed, hermite_values
 
 OPERATOR_ORDER_CAP = 8
 ZOOM_ROUNDS = 6
@@ -47,65 +47,50 @@ class SeminormReport:
         )
 
 
-def _band_slices(grid, band):
-    if not 0.0 <= band < 0.5:
-        raise ValueError(f"band {band!r} outside [0, 0.5)")
-    margin = int(round(band * grid.n_points))
-    lo = margin
-    hi = grid.n_points - margin
-    if hi <= lo:
-        raise ValueError(f"band {band!r} leaves no interior points")
-    return lo, hi
+def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
+    """Zoom |z^a interp(z)| around each lattice argmax; returns refined sups.
 
-
-def _trig_eval_grid(coeffs, grid, axes_points):
-    """Evaluate the trig interpolant on a small tensor grid of points.
-
-    coeffs = fftn(values); interpolant value at z is
-    N^{-dim} sum_k coeffs[k] exp(i w_k . (z + L)).
+    coeffs = fftn(values) of one 2-D sampled function, shared by every
+    entry; the interpolant at z is N^-2 sum_k coeffs[k] exp(i w_k . (z + L)).
+    All E entries zoom in lockstep: each round is one (5E x N)(N x N) GEMM
+    along the first axis, one batched contraction along the second, and a
+    vectorised argmax, strict accept test and window update.
     """
-    freqs = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)
-    out = coeffs
-    for ax, pts in enumerate(axes_points):
-        basis = np.exp(1j * np.outer(pts + grid.half_extent, freqs)) / grid.n_points
-        out = np.moveaxis(np.tensordot(basis, out, axes=(1, ax)), 0, ax)
-    return out
-
-
-def _refine_sup(coeffs, grid, a, start_point, start_value, lo, hi):
-    """Zoom |z^a interp(z)| around the lattice argmax; returns refined sup.
-
-    coeffs are the Fourier coefficients (fftn) of the sampled function.
-    """
+    n_pts = grid.n_points
     axis = grid.axis()
-    low = axis[lo]
-    high = axis[hi - 1]
-    center = np.array(start_point, dtype=float)
-    best = start_value
-    half = grid.spacing
+    # fftfreq holds f_{N-k} = -f_k exactly, and exp(-i t) is the exact
+    # conjugate of exp(i t): only the lower half of the basis calls exp
+    top = n_pts // 2
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n_pts, grid.spacing)[: top + 1]
+    powers = np.array(decays, dtype=float)[:, :, None]
+    best = np.array([value for value, _ in starts], dtype=float)
+    centers = np.array([point for _, point in starts], dtype=float)
+    rows = np.arange(len(best))
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    half = grid.spacing
     for _ in range(ZOOM_ROUNDS):
-        axes_points = [
-            np.clip(center[ax] + half * offsets, low, high)
-            for ax in range(grid.dim)
-        ]
-        vals = np.abs(_trig_eval_grid(coeffs, grid, axes_points))
-        mesh = np.stack(
-            np.meshgrid(*axes_points, indexing="ij"), axis=-1
+        pts = np.clip(centers[:, :, None] + half * offsets, axis[lo], axis[hi - 1])
+        lower = np.exp(1j * ((pts + grid.half_extent)[..., None] * freqs)) / n_pts
+        basis = np.concatenate([lower, np.conj(lower[..., top - 1 : 0 : -1])], -1)
+        along_x = (basis[:, 0].reshape(-1, n_pts) @ coeffs).reshape(
+            len(best), ZOOM_POINTS, n_pts
         )
-        vals = vals * monomial(np.abs(mesh), a)
-        flat = int(np.argmax(vals))
-        idx = np.unravel_index(flat, vals.shape)
-        if vals[idx] > best:
-            best = float(vals[idx])
-            center = mesh[idx]
+        vals = np.abs(np.einsum("eik,ejk->eij", along_x, basis[:, 1]))
+        weight = np.abs(pts) ** powers
+        vals = vals * (weight[:, 0, :, None] * weight[:, 1, None, :])
+        flat = vals.reshape(len(best), -1).argmax(axis=1)
+        i, j = np.divmod(flat, ZOOM_POINTS)
+        peak = vals[rows, i, j]
+        better = peak > best
+        best = np.where(better, peak, best)
+        centers[better] = np.stack([pts[rows, 0, i], pts[rows, 1, j]], -1)[better]
         half /= ZOOM_SHRINK
     return best
 
 
-def _lattice_sup(deriv_vals, grid, a, lo, hi):
-    sl = (slice(lo, hi),) * grid.dim
-    weighted = np.abs(deriv_vals[sl])
+def _lattice_sup(abs_vals, grid, a, lo, hi):
+    """Weighted lattice sup of the band-sliced |values| and its point."""
+    weighted = abs_vals
     axis = np.abs(grid.axis()[lo:hi])
     for ax, power in enumerate(a):
         if power:
@@ -122,10 +107,11 @@ def _seminorm_entries(fn, pairs, band=None, refine=True):
     """{(a, b): |F|_{a,b}} for each (a, b) in pairs, sup over the interior band.
 
     F is transformed once; each distinct b costs one inverse transform for
-    the lattice sup, and the zoom reads the derivative coefficients directly.
+    the lattice sup, and its entries zoom together on the derivative
+    coefficients.
     """
     grid = fn.grid
-    lo, hi = _band_slices(grid, DEFAULT_BAND if band is None else band)
+    lo, hi = grid.interior_range(DEFAULT_BAND if band is None else band)
     decays_by_b = {}
     for a, b in pairs:
         decays_by_b.setdefault(_index_for(b, grid.dim), []).append(
@@ -136,11 +122,14 @@ def _seminorm_entries(fn, pairs, band=None, refine=True):
     for b, decays in decays_by_b.items():
         coeffs = derivative_coefficients(hat, grid, b)
         deriv = np.fft.ifftn(coeffs) if any(b) else fn.values
-        for a in decays:
-            value, point = _lattice_sup(deriv, grid, a, lo, hi)
-            if refine and grid.dim <= 2:
-                value = _refine_sup(coeffs, grid, a, point, value, lo, hi)
-            table[(a, b)] = value
+        abs_vals = np.abs(deriv[(slice(lo, hi),) * grid.dim])
+        starts = [_lattice_sup(abs_vals, grid, a, lo, hi) for a in decays]
+        if refine and grid.dim == 2:
+            values = _zoom_sups(coeffs, grid, decays, starts, lo, hi)
+        else:
+            values = [value for value, _ in starts]
+        for a, value in zip(decays, values):
+            table[(a, b)] = float(value)
     return table
 
 
@@ -178,12 +167,19 @@ def norm_sum_from_table(table, a, b):
 # jointly-Schwartz family seminorm (configuration space, n = 1)
 
 
-def _family_sq_sum(states, a, b, xs):
-    total = np.zeros(xs.shape[0])
-    for ps in states:
-        g = ps.weighted_derivative(a, b)
-        total += np.abs(g.evaluate(xs[:, None])) ** 2
-    return total
+def _line_values(ps, xs):
+    """psi(x) of a one-axis analytic state at the points xs, all atoms at once.
+
+    Each atom term is formed as in Atom.evaluate, and the terms are added
+    in atom order as in PureState.evaluate.
+    """
+    orders = np.array([at.m[0] for at in ps.atoms])
+    shift = np.array([at.alpha[0] for at in ps.atoms])[:, None]
+    kick = np.array([at.alpha[1] for at in ps.atoms])[:, None]
+    coeffs = np.array([at.coeff for at in ps.atoms], dtype=complex)[:, None]
+    hermite = hermite_values(int(orders.max()), xs - shift)
+    phi = hermite[orders, np.arange(orders.size)]
+    return (coeffs * np.exp(1j * (xs - 0.5 * shift) * kick) * phi).sum(axis=0)
 
 
 def joint_seminorm(states, a, b, n_nodes=4096):
@@ -198,15 +194,23 @@ def joint_seminorm(states, a, b, n_nodes=4096):
         raise ValueError("joint seminorm implemented for n=1")
     a = _index_for(a, n)
     b = _index_for(b, n)
+    weighted = [ps.weighted_derivative(a, b) for ps in states]
+
+    def sq_sum(xs):
+        total = np.zeros(xs.shape[0])
+        for g in weighted:
+            total += np.abs(_line_values(g, xs)) ** 2
+        return total
+
     half = max(ps.reach() for ps in states) + order(a) + order(b)
     xs = np.linspace(-half, half, n_nodes)
-    vals = _family_sq_sum(states, a, b, xs)
+    vals = sq_sum(xs)
     best = float(vals.max())
     center = float(xs[int(np.argmax(vals))])
     width = float(xs[1] - xs[0])
     for _ in range(ZOOM_ROUNDS):
         local = np.linspace(center - width, center + width, 33)
-        vals = _family_sq_sum(states, a, b, local)
+        vals = sq_sum(local)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -235,22 +239,14 @@ def kernel_seminorm(state, a, b, c, d, n_nodes=1024):
     c = _index_for(c, 1)
     d = _index_for(d, 1)
     half = rho.reach() + order(a) + order(b) + order(c) + order(d)
+    lam = np.asarray(rho.weights)[:, None]
+    left = [ps.weighted_derivative(a, b) for ps in rho.pure_states]
+    right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
 
     def sup_on(xs, ys):
-        fx = np.stack(
-            [
-                ps.weighted_derivative(a, b).evaluate(xs[:, None])
-                for ps in rho.pure_states
-            ]
-        )
-        gy = np.stack(
-            [
-                ps.weighted_derivative(c, d).evaluate(ys[:, None])
-                for ps in rho.pure_states
-            ]
-        )
-        lam = np.asarray(rho.weights)
-        mat = np.abs(np.einsum("j,jx,jy->xy", lam, fx, np.conj(gy)))
+        fx = np.stack([_line_values(f, xs) for f in left])
+        gy = np.stack([_line_values(g, ys) for g in right])
+        mat = np.abs((lam * fx).T @ np.conj(gy))
         i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
         return float(mat[i, j]), float(xs[i]), float(ys[j])
 

@@ -250,6 +250,15 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "CHECK FAILURES" in capsys.readouterr().out
 
 
+def test_verify_names_band_without_interior(tmp_path, capsys):
+    # band 0.45 drops round(3.6) = 4 of 8 points at each end
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text("grid.N = 8\nband = 0.45\nthreads = 2\n")
+    assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "FAIL duality: band 0.45 leaves no interior points" in err
+
+
 def _fake_suite(reports, seen=None):
     def run_suite(state, chi, cfg, demo=None):
         if seen is not None:

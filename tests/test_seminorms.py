@@ -8,11 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasespace import (
+    Atom,
     Grid,
     GridResolutionError,
     MixedState,
+    PureState,
     decay_norm_from_table,
     fock_state,
     joint_seminorm,
@@ -27,6 +31,10 @@ from phasespace import (
     vacuum_state,
     wigner,
 )
+from phasespace.grid import DEFAULT_BAND, derivative_coefficients
+from phasespace.multiindex import box, monomial
+from phasespace.seminorms import _line_values
+from phasespace.states import random_mixture
 
 Z = (0, 0)
 
@@ -108,6 +116,63 @@ def test_table_transforms_its_input_once(vacuum_wigner, monkeypatch):
     table = seminorm_table(vacuum_wigner, (2, 2), (2, 2))
     assert len(table) == 81
     assert calls == [vacuum_wigner.values.shape]
+
+
+def _oracle_trig_eval_grid(coeffs, grid, axes_points):
+    # the interpolant N^-dim sum_k coeffs[k] exp(i w_k . (z + L)), one axis
+    # at a time on a small tensor grid of points
+    freqs = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.spacing)
+    out = coeffs
+    for ax, pts in enumerate(axes_points):
+        basis = np.exp(1j * np.outer(pts + grid.half_extent, freqs)) / grid.n_points
+        out = np.moveaxis(np.tensordot(basis, out, axes=(1, ax)), 0, ax)
+    return out
+
+
+def _oracle_entry(values, coeffs, grid, a, lo, hi):
+    # one entry on its own: lattice argmax, then 6 rounds of a 5 x 5 zoom
+    # that moves only on a strict improvement
+    axis = grid.axis()
+    inner = np.abs(axis[lo:hi])
+    weighted = np.abs(values[lo:hi, lo:hi])
+    # weights applied one axis at a time: in exact ties (the vacuum's
+    # mirror points) the rounding decides which argmax the zoom starts from
+    if a[0]:
+        weighted = weighted * (inner ** a[0])[:, None]
+    if a[1]:
+        weighted = weighted * (inner ** a[1])[None, :]
+    idx = np.unravel_index(int(np.argmax(weighted)), weighted.shape)
+    best, center = float(weighted[idx]), axis[lo + np.array(idx)]
+    half = grid.spacing
+    for _ in range(6):
+        pts = [np.clip(center[ax] + half * np.linspace(-1.0, 1.0, 5),
+                       axis[lo], axis[hi - 1]) for ax in range(2)]
+        vals = np.abs(_oracle_trig_eval_grid(coeffs, grid, pts))
+        zoom = np.stack(np.meshgrid(*pts, indexing="ij"), axis=-1)
+        vals = vals * monomial(np.abs(zoom), a)
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[idx] > best:
+            best, center = float(vals[idx]), zoom[idx]
+        half /= 3.0
+    return best
+
+
+@pytest.mark.parametrize("which", ["vacuum", 0, 1])
+def test_table_matches_per_entry_zoom(which, grid, mixtures20):
+    state = vacuum_state(1) if which == "vacuum" else mixtures20[which]
+    fn = wigner(state, grid)
+    margin = int(round(DEFAULT_BAND * grid.n_points))
+    lo, hi = margin, grid.n_points - margin
+    hat = np.fft.fftn(fn.values)
+    for a_max, b_max in [((12, 12), Z), ((4, 4), (4, 4))]:
+        table = seminorm_table(fn, a_max, b_max)
+        assert len(table) == len(list(box(a_max))) * len(list(box(b_max)))
+        for b in box(b_max):
+            coeffs = derivative_coefficients(hat, grid, b)
+            values = np.fft.ifftn(coeffs) if any(b) else fn.values
+            for a in box(a_max):
+                expected = _oracle_entry(values, coeffs, grid, a, lo, hi)
+                assert abs(table[(a, b)] - expected) <= 1e-13 * expected, (a, b)
 
 
 def test_seminorm_rejects_high_derivative(vacuum_wigner):
@@ -268,3 +333,44 @@ def test_kernel_rejects_non_analytic():
 
     with pytest.raises(ValueError, match="analytic"):
         kernel_seminorm(demo_state("plateau"), (0,), (0,), (0,), (0,))
+
+
+def test_weighted_components_built_once_per_call(monkeypatch):
+    rho = random_mixture(np.random.default_rng(5), n_components=3)
+    comps = scaled_components(rho)
+    built = []
+    weighted_derivative = PureState.weighted_derivative
+
+    def counting(self, a, b):
+        built.append((a, b))
+        return weighted_derivative(self, a, b)
+
+    monkeypatch.setattr(PureState, "weighted_derivative", counting)
+    kernel_seminorm(rho, (1,), (2,), (0,), (1,))
+    assert len(built) == 2 * len(comps)
+    built.clear()
+    joint_seminorm(comps, (2,), (1,))
+    assert len(built) == len(comps)
+
+
+atoms_1d = st.builds(
+    lambda m, ax, ap, re, im: Atom((m,), (ax, ap), complex(re, im)),
+    st.integers(0, 40),
+    st.floats(-30.0, 30.0),
+    st.floats(-30.0, 30.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(atoms_1d, min_size=1, max_size=5),
+    xs=st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=40),
+)
+def test_line_values_match_evaluate(atoms, xs):
+    psi = PureState(atoms)
+    xs = np.array(xs)
+    expected = psi.evaluate(xs[:, None])
+    got = _line_values(psi, xs)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))

@@ -500,6 +500,26 @@ def test_failed_shared_build_recorded_by_each_check(monkeypatch):
             assert report.passed, report.name
 
 
+def test_failed_shared_build_runs_once(monkeypatch):
+    rho = as_mixed(fock_state(1))
+    real_wigner = bounds.wigner
+    builds = []
+
+    def failing_wigner(state, grid, *args, **kwargs):
+        if state is rho:
+            builds.append(grid)
+            raise GridResolutionError("W_rho build failed")
+        return real_wigner(state, grid, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "wigner", failing_wigner)
+    reports = run_suite(rho, config=SimpleNamespace(threads=8))
+    assert len(builds) == 1
+    errors = {r.name: r.info.get("error") for r in reports}
+    assert {name: errors[name] for name in GRID_CHECKS} == dict.fromkeys(
+        GRID_CHECKS, "W_rho build failed"
+    )
+
+
 def test_suite_band_sets_duality_mask(vacuum, grid):
     config = SimpleNamespace(threads=2, band=0.2)
     duality = run_suite(vacuum, config=config)[0]
