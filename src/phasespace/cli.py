@@ -142,11 +142,8 @@ def export_csv(obj, path, header=None):
     if isinstance(obj, PhaseSpaceFn):
         lines = _fn_rows(obj)
     else:
-        reports = list(obj)
-        if header is None and reports:
-            header = getattr(type(reports[0]), "CSV_HEADER", None) or CSV_HEADER
-        lines = [header if header is not None else CSV_HEADER]
-        for rep in reports:
+        lines = [CSV_HEADER if header is None else header]
+        for rep in obj:
             lines.append(rep.row() if hasattr(rep, "row") else rep.record())
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -385,20 +385,7 @@ def pure_overlap(phi, psi):
     """<phi | psi> in closed form for analytic states."""
     if not (phi.is_analytic and psi.is_analytic):
         raise ValueError("closed-form overlap needs analytic states")
-    total = 0.0 + 0.0j
-    for am in phi.atoms:
-        g = np.asarray(am.alpha, dtype=float)
-        for an in psi.atoms:
-            d = np.asarray(an.alpha, dtype=float)
-            # <D_g f | D_d h> = e^{-i d /\ g / 2} <f | D_{d-g} h>
-            phase = np.exp(-0.5j * symplectic_form(d, g))
-            total += (
-                np.conj(am.coeff)
-                * an.coeff
-                * phase
-                * displacement_matrix_element(am.m, an.m, d - g)
-            )
-    return complex(total)
+    return complex(displaced_overlaps(phi, np.zeros(2 * psi.n), psi))
 
 
 def displaced_overlaps(chi, alphas, psi):
@@ -407,12 +394,11 @@ def displaced_overlaps(chi, alphas, psi):
     out = np.zeros(alphas.shape[:-1], dtype=complex)
     for ac in chi.atoms:
         delta = np.asarray(ac.alpha, dtype=float)
+        chi_phase = -0.5j * symplectic_form(delta, alphas)
+        shifted = alphas + delta
         for ap in psi.atoms:
             gamma = np.asarray(ap.alpha, dtype=float)
-            phase = np.exp(
-                -0.5j * symplectic_form(delta, alphas)
-                - 0.5j * symplectic_form(gamma, alphas + delta)
-            )
+            phase = np.exp(chi_phase - 0.5j * symplectic_form(gamma, shifted))
             out += (
                 np.conj(ac.coeff)
                 * ap.coeff
@@ -423,31 +409,18 @@ def displaced_overlaps(chi, alphas, psi):
 
 
 def quasichar_values(state, xis):
-    """tr[rho D_xi] in closed form for analytic states; xis shape (..., 2n)."""
+    """tr[rho D_xi] in closed form for analytic states; xis shape (..., 2n).
+
+    Each component contributes <psi | D_xi psi> = <D_{-xi} psi | psi>.
+    """
     rho = as_mixed(state)
     if not rho.is_analytic:
         raise ValueError("closed-form quasicharacteristic needs analytic states")
     xis = np.asarray(xis, dtype=float)
     out = np.zeros(xis.shape[:-1], dtype=complex)
     for w, ps in zip(rho.weights, rho.pure_states):
-        if w == 0.0:
-            continue
-        comp = np.zeros_like(out)
-        for ak in ps.atoms:
-            gk = np.asarray(ak.alpha, dtype=float)
-            for al in ps.atoms:
-                gl = np.asarray(al.alpha, dtype=float)
-                phase = np.exp(
-                    0.5j * symplectic_form(gl, xis)
-                    - 0.5j * symplectic_form(xis + gl, gk)
-                )
-                comp += (
-                    np.conj(ak.coeff)
-                    * al.coeff
-                    * phase
-                    * displacement_matrix_element(ak.m, al.m, xis + gl - gk)
-                )
-        out += w * comp
+        if w != 0.0:
+            out += w * displaced_overlaps(ps, -xis, ps)
     return out
 
 

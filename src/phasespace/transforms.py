@@ -137,20 +137,20 @@ def _husimi_from_wigner(w_rho, w_chi):
     return PhaseSpaceFn(grid, vals, "husimi")
 
 
-def husimi(state, chi, grid, cross_check=True):
-    """Q(alpha) = <chi_alpha| rho |chi_alpha> via (2pi)^n (W_rho * W_chi^-)."""
+def husimi(state, chi, grid):
+    """Q(alpha) = <chi_alpha| rho |chi_alpha> via (2pi)^n (W_rho * W_chi^-),
+    cross-checked against direct matrix elements at a few interior points."""
     rho = as_mixed(state)
     if not chi.is_analytic:
         raise ValueError("reference chi must be an analytic state")
     fn = _husimi_from_wigner(wigner(rho, grid), wigner(as_mixed(chi), grid))
-    if cross_check:
-        pts = _interior_samples(grid)
-        direct = matel(rho, chi, pts, pts).real
-        resid = np.abs(husimi_at(fn, pts) - direct).max()
-        if resid > HUSIMI_CROSS_TOL:
-            raise GridResolutionError(
-                f"Husimi convolution vs direct residual {resid:.2e}"
-            )
+    pts = _interior_samples(grid)
+    direct = matel(rho, chi, pts, pts).real
+    resid = np.abs(husimi_at(fn, pts) - direct).max()
+    if resid > HUSIMI_CROSS_TOL:
+        raise GridResolutionError(
+            f"Husimi convolution vs direct residual {resid:.2e}"
+        )
     return fn
 
 

@@ -28,6 +28,8 @@ from phasespace import (
     seminorm,
     seminorm_table,
     SeminormReport,
+    demo_state,
+    random_pure_state,
     vacuum_state,
     wigner,
 )
@@ -303,6 +305,41 @@ def test_operator_rejects_phase_space_grid():
         operator_seminorm(
             vacuum_state(1), (0,), (0,), (0,), (0,), grid=Grid(2, 64, 8.0)
         )
+
+
+@pytest.mark.parametrize("a, b, c, d", [
+    (1, 4, 4, 0), (0, 4, 4, 0), (2, 3, 1, 2), (1, 1, 0, 0), (3, 0, 2, 1),
+])
+@pytest.mark.parametrize("label", ["vacuum", "fock1", "seed3", "seed11"])
+def test_operator_pure_state_is_product_of_norms(label, a, b, c, d):
+    # X^a P^b |psi><psi| P^c X^d = |f><g| with f = X^a P^b psi and
+    # g = X^d P^c psi has the single singular value ||f|| ||g||, and
+    # ||P^b h|| = ||d^b h||
+    if label.startswith("seed"):
+        psi = random_pure_state(np.random.default_rng(int(label[4:])))
+    else:
+        psi = demo_state(label)
+    value = operator_seminorm(psi, (a,), (b,), (c,), (d,))
+    expected = (
+        psi.weighted_derivative((a,), (b,)).norm()
+        * psi.weighted_derivative((d,), (c,)).norm()
+    )
+    assert abs(value - expected) <= 1e-12 * expected
+
+
+def test_operator_never_builds_the_kernel(monkeypatch, mixture):
+    def refuse(self, x, y):
+        raise AssertionError("operator seminorm evaluated the kernel")
+
+    monkeypatch.setattr(MixedState, "kernel", refuse)
+    value = operator_seminorm(mixture, (1,), (1,), (0,), (1,))
+    assert math.isfinite(value) and value > 0
+
+
+def test_operator_flags_plateau():
+    # the indicator's lattice mass moves by about 2 % under N doubling
+    with pytest.raises(GridResolutionError):
+        operator_seminorm(demo_state("plateau"), (0,), (0,), (0,), (0,))
 
 
 # --- kernel seminorm and the factorized envelope --------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phasespace import (
     Atom,
@@ -27,7 +29,9 @@ from phasespace.states import (
     _factorial_ratio_sqrt,
     overlap_by_quadrature,
     pure_overlap,
+    quasichar_values,
 )
+from phasespace.transforms import quasichar
 
 
 def kernel(rho, xs, ys):
@@ -137,6 +141,41 @@ def test_displacement_matrix_element_against_quadrature():
         ket = fock_state(int(mp)).displaced(xi).evaluate(ys)
         quad = step * np.sum(np.conj(bra) * ket)
         assert abs(closed - quad) < 1e-10
+
+
+hermite_atoms = st.builds(
+    lambda m, ax, ap, re, im: Atom((m,), (ax, ap), complex(re, im)),
+    st.integers(0, 40),
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=st.lists(hermite_atoms, min_size=1, max_size=3),
+    right=st.lists(hermite_atoms, min_size=1, max_size=3),
+)
+def test_pure_overlap_matches_quadrature(left, right):
+    phi, psi = PureState(left), PureState(right)
+    assume(phi.norm() > 0.1 and psi.norm() > 0.1)
+    phi, psi = phi.normalized(), psi.normalized()
+    assert abs(pure_overlap(phi, psi) - overlap_by_quadrature(phi, psi)) < 1e-12
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_quasichar_values_at_origin_is_trace(mixtures20, index):
+    rho = mixtures20[index]
+    assert quasichar_values(rho, np.zeros(2)) == pytest.approx(rho.trace(), abs=1e-14)
+
+
+def test_quasichar_values_match_grid_quasichar(mixture, grid):
+    axis = grid.axis()
+    lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    on_grid = quasichar(mixture, grid, cross_check=False).values
+    assert np.abs(quasichar_values(mixture, lattice) - on_grid).max() < 1e-12
 
 
 def test_factorial_ratio_matches_exact_at_low_order():
