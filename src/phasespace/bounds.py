@@ -207,35 +207,28 @@ class BoundContext:
         )
 
     def chi_table(self):
-        cap = (self.max_total_order,) * self.dim
+        """|W_chi|_{a,b} over index_pairs(), the window factor of both bounds."""
         return self._get(
             "chi_table",
-            lambda: seminorm_table(self.w_chi(), cap, cap, band=self.band),
+            lambda: _seminorm_entries(self.w_chi(), self.index_pairs(), self.band),
+        )
+
+    def _decay_table(self, key, fn, offset):
+        """|F|_{a,0} for a <= 2 * max_total_order + offset on every axis."""
+        cap = (2 * self.max_total_order + offset,) * self.dim
+        zero = (0,) * self.dim
+        return self._get(
+            key, lambda: seminorm_table(fn(), cap, zero, band=self.band)
         )
 
     def chi_decay_table(self):
-        cap = (2 * self.max_total_order + 6,) * self.dim
-        zero = (0,) * self.dim
-        return self._get(
-            "chi_decay",
-            lambda: seminorm_table(self.w_chi(), cap, zero, band=self.band),
-        )
+        return self._decay_table("chi_decay", self.w_chi, 6)
 
     def rho_decay_table(self):
-        cap = (2 * self.max_total_order + 4,) * self.dim
-        zero = (0,) * self.dim
-        return self._get(
-            "rho_decay",
-            lambda: seminorm_table(self.w_rho(), cap, zero, band=self.band),
-        )
+        return self._decay_table("rho_decay", self.w_rho, 4)
 
     def q_decay_table(self):
-        cap = (2 * self.max_total_order + 4,) * self.dim
-        zero = (0,) * self.dim
-        return self._get(
-            "q_decay",
-            lambda: seminorm_table(self.q_rho(), cap, zero, band=self.band),
-        )
+        return self._decay_table("q_decay", self.q_rho, 4)
 
     def adopt_chi_tables(self, other):
         """Reuse another context's window-side caches in a sweep.
@@ -245,12 +238,8 @@ class BoundContext:
         """
         if other.chi is not self.chi:
             raise ValueError("contexts must share the same chi object")
-        if (
-            other.grid.n_points != self.grid.n_points
-            or other.grid.half_extent != self.grid.half_extent
-            or other.grid.dim != self.grid.dim
-            or other.band != self.band
-            or other.max_total_order != self.max_total_order
+        if (other.grid, other.band, other.max_total_order) != (
+            self.grid, self.band, self.max_total_order
         ):
             raise ValueError("contexts must share grid, band, and order cap")
         for key in ("w_chi", "chi_table", "chi_decay"):

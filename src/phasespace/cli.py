@@ -6,7 +6,6 @@ digits so identical inputs produce byte-identical files.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from .verify import (
     check_plateau_decay,
     run_suite,
     suggest_grid,
+    worker_count,
 )
 
 DEMO_NAMES = ("vacuum", "fock1", "plateau", "heavy-tail")
@@ -210,16 +210,28 @@ def _resolve_chi(args):
     return chi.normalized()
 
 
+def _parse_grid(text):
+    """(N, L) from --grid, range-checked as the config keys grid.N, grid.L."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--grid expects N,L, got {text!r}")
+    _, n_pts = _config_value("grid.N", parts[0], "--grid")
+    _, half = _config_value("grid.L", parts[1], "--grid")
+    return n_pts, half
+
+
 def _resolve_grid(args, state):
     if args.grid is None:
         return suggest_grid(state)
-    parts = args.grid.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--grid expects N,L, got {args.grid!r}")
-    # the same range checks as the config keys grid.N and grid.L
-    _, n_pts = _config_value("grid.N", parts[0], "--grid")
-    _, half = _config_value("grid.L", parts[1], "--grid")
-    return Grid(2 * as_mixed(state).n, n_pts, half)
+    return Grid(2 * as_mixed(state).n, *_parse_grid(args.grid))
+
+
+def _representation(which, state, grid, args):
+    if which == "wigner":
+        return wigner(state, grid)
+    if which == "quasichar":
+        return quasichar(state, grid)
+    return husimi(state, _resolve_chi(args), grid)
 
 
 def _parse_point(text, flag):
@@ -243,12 +255,7 @@ def _parse_index(text, flag):
 def _cmd_transform(args, which):
     state, _ = _resolve_state(args)
     grid = _resolve_grid(args, state)
-    if which == "wigner":
-        fn = wigner(state, grid)
-    elif which == "quasichar":
-        fn = quasichar(state, grid)
-    else:
-        fn = husimi(state, _resolve_chi(args), grid)
+    fn = _representation(which, state, grid, args)
     quad = grid.quadrature(fn.values)
     print(
         f"{which}: N={grid.n_points} L={_fmt(grid.half_extent)} "
@@ -287,12 +294,7 @@ def _cmd_seminorm(args):
     grid = _resolve_grid(args, state)
     a = _parse_index(args.a, "--a")
     b = _parse_index(args.b, "--b")
-    if args.rep == "wigner":
-        fn = wigner(state, grid)
-    elif args.rep == "quasichar":
-        fn = quasichar(state, grid)
-    else:
-        fn = husimi(state, _resolve_chi(args), grid)
+    fn = _representation(args.rep, state, grid, args)
     value = seminorm(fn, a, b, band=args.band)
     report = SeminormReport(
         args.rep, (a, b), value, grid.n_points, grid.half_extent, args.band
@@ -336,6 +338,8 @@ def _cmd_verify(args):
     cfg = parse_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
+    if args.grid is not None:
+        cfg.grid_n, cfg.grid_l = _parse_grid(args.grid)
     reports = run_suite(state, chi, cfg, demo=demo)
     print(CSV_HEADER)
     for rep in reports:
@@ -425,12 +429,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("PHASESPACE_THREADS", "0")
-    if not threads.lstrip("-").isdigit():
-        print(f"PHASESPACE_THREADS must be an integer, got {threads!r}",
-              file=sys.stderr)
-        return 2
     try:
+        worker_count()  # a malformed PHASESPACE_THREADS exits 2 before any work
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

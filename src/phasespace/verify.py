@@ -588,14 +588,17 @@ def check_plateau_decay(seed=0):
 
 
 def worker_count():
+    """PHASESPACE_THREADS as a pool size; 0 or unset means one per CPU."""
     env = os.environ.get("PHASESPACE_THREADS", "0")
     try:
         n_workers = int(env)
     except ValueError:
-        n_workers = 0
-    if n_workers <= 0:
-        n_workers = os.cpu_count() or 1
-    return n_workers
+        n_workers = -1
+    if n_workers < 0:
+        raise ValueError(
+            f"PHASESPACE_THREADS must be a nonnegative integer, got {env!r}"
+        )
+    return n_workers or os.cpu_count() or 1
 
 
 def suite_plan(state, demo=None):

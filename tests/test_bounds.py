@@ -287,3 +287,14 @@ def test_adopt_chi_tables(mixture):
     # a context holding its own chi object must refuse the handoff
     with pytest.raises(ValueError, match="chi"):
         BoundContext(mixture, grid=grid).adopt_chi_tables(base)
+
+
+@pytest.mark.parametrize("chi", [None, fock_state(1)], ids=["vacuum", "fock1"])
+def test_chi_table_over_index_pairs(vacuum_ctx, mixture, chi):
+    # the window table holds exactly the lhs index set, each entry as the box table's
+    ctx = vacuum_ctx if chi is None else BoundContext(mixture, chi=chi)
+    cap = (ctx.max_total_order,) * ctx.dim
+    table = ctx.chi_table()
+    assert set(table) == set(ctx.index_pairs())
+    full = seminorm_table(ctx.w_chi(), cap, cap, band=ctx.band)
+    assert all(table[key] == full[key] for key in table)

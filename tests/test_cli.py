@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasespace import Grid, save_state, vacuum_state, wigner
-from phasespace import cli, transforms
+from phasespace import bounds, cli, transforms, verify
 from phasespace.cli import (
     BOUND_HEADER,
     SEMINORM_HEADER,
@@ -259,6 +259,30 @@ def test_verify_names_band_without_interior(tmp_path, capsys):
     assert "FAIL duality: band 0.45 leaves no interior points" in err
 
 
+def test_verify_grid_flag_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid.N = 64\ngrid.L = 8\nseed = 1\n")
+    assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli("verify", "--demo", "vacuum", "--seed", "1", "--grid", "64,8") == 0
+    from_flag = capsys.readouterr().out
+    assert from_flag == from_config
+    rows = [line.split(",") for line in from_flag.splitlines()[1:] if "," in line]
+    n_col = CSV_HEADER.split(",").index("N")
+    assert rows and all(row[n_col] in ("64", "0") for row in rows)
+    assert any(row[n_col] == "64" for row in rows)
+
+
+def test_verify_grid_flag_range_checked(monkeypatch, capsys):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran on an out-of-range grid")
+
+    for module in (transforms, cli, bounds, verify):
+        monkeypatch.setattr(module, "wigner", no_transform)
+    assert run_cli("verify", "--demo", "vacuum", "--grid", "3,8") == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "grid.N" in err
+
 def _fake_suite(reports, seen=None):
     def run_suite(state, chi, cfg, demo=None):
         if seen is not None:
@@ -340,6 +364,11 @@ def test_bad_thread_env(monkeypatch, capsys):
     assert run_cli("wigner", "--demo", "vacuum", "--grid", "32,8") == 2
     assert "PHASESPACE_THREADS" in capsys.readouterr().err
 
+
+def test_negative_thread_env(monkeypatch, capsys):
+    monkeypatch.setenv("PHASESPACE_THREADS", "-3")
+    assert run_cli("wigner", "--demo", "vacuum", "--grid", "32,8") == 2
+    assert "PHASESPACE_THREADS" in capsys.readouterr().err
 
 def test_unknown_demo_rejected():
     with pytest.raises(SystemExit) as err:
