@@ -49,6 +49,8 @@ def _config_value(key, value, where):
         n_pts = int(value)
         if not (8 <= n_pts <= 65536):
             raise ValueError(f"{where}: grid.N out of range [8, 65536]: {n_pts}")
+        if n_pts & (n_pts - 1):
+            raise ValueError(f"{where}: grid.N must be a power of two: {n_pts}")
         return "grid_n", n_pts
     if key == "grid.L":
         half = float(value)

@@ -242,11 +242,20 @@ class MatelSampler:
 
 
 def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
-    """Direct quadrature of the Wigner integral at arbitrary points (n=1)."""
+    """Direct quadrature of the Wigner integral at arbitrary points (n=1).
+
+    Within each chunk the kernel row is evaluated once per distinct x and
+    the phase row once per distinct p; each point reads both through the
+    inverse indices, so a product set xs × ps costs about |xs| kernel rows.
+    """
     rho = as_mixed(state)
     if rho.n != 1:
         raise ValueError("pointwise Wigner implemented for n=1")
     pts = np.asarray(points, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise ValueError(
+            f"points must have a last axis of length 2 (x, p), got shape {pts.shape}"
+        )
     flat = pts.reshape(-1, 2)
     if y_half is None:
         y_half = 2.0 * rho.reach() + 2.0
@@ -256,13 +265,15 @@ def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
     chunk = max(1, 2_000_000 // n_nodes)
     for start in range(0, flat.shape[0], chunk):
         blk = flat[start : start + chunk]
-        x = blk[:, :1]
-        p = blk[:, 1:2]
+        x, x_of = np.unique(blk[:, 0], return_inverse=True)
+        p, p_of = np.unique(blk[:, 1], return_inverse=True)
+        x, p = x[:, None], p[:, None]
         kv = rho.kernel(
             (x - 0.5 * ys[None, :])[..., None], (x + 0.5 * ys[None, :])[..., None]
         )
+        phase = np.exp(1j * p * ys[None, :])
         out[start : start + chunk] = (
-            step / (2.0 * np.pi) * (np.exp(1j * p * ys[None, :]) * kv).sum(1)
+            step / (2.0 * np.pi) * (phase[p_of] * kv[x_of]).sum(1)
         )
     return out.reshape(pts.shape[:-1])
 

@@ -392,3 +392,36 @@ def test_state_file_not_mutated(tmp_path):
     before = path.read_bytes()
     assert run_cli("wigner", "--state", str(path), "--grid", "32,8") == 0
     assert path.read_bytes() == before
+
+
+# --- grid.N must be a power of two ----------------------------------------------
+
+
+@pytest.fixture
+def no_transforms(monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran on a grid that is not a power of two")
+
+    for module in (transforms, cli, bounds, verify):
+        for name in ("wigner", "quasichar", "husimi"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_transform)
+
+
+def test_verify_grid_flag_names_power_of_two(no_transforms, capsys):
+    assert run_cli("verify", "--demo", "vacuum", "--grid", "100,8") == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "grid.N" in err and "power of two" in err
+
+
+def test_config_grid_n_names_power_of_two_line(tmp_path, no_transforms, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid.N = 100\n")
+    assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:1:" in err and "power of two" in err
+
+
+def test_wigner_grid_flag_not_power_of_two(no_transforms, capsys):
+    assert run_cli("wigner", "--demo", "vacuum", "--grid", "100,8") == 2
+    assert "power of two" in capsys.readouterr().err

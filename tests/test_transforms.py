@@ -8,6 +8,8 @@ from phasespace import (
     PhaseSpaceFn,
     PureState,
     Atom,
+    MixedState,
+    as_mixed,
     demo_state,
     fock_state,
     husimi,
@@ -17,6 +19,7 @@ from phasespace import (
     offdiag_wigner,
     omega_matrix,
     quasichar,
+    random_mixture,
     twisted_convolution,
     twisted_convolution_grid,
     vacuum_state,
@@ -427,3 +430,101 @@ def test_heavy_tail_wigner_closed_form():
         ]
     )
     assert np.abs(vals - expected).max() < 1e-10
+
+
+# --- pointwise quadrature: one kernel row per distinct x ------------------------
+
+
+def wigner_pointwise_per_point(state, points, n_nodes=4096, y_half=None):
+    """The per-point chunk loop: each point builds its own kernel and phase rows."""
+    rho = as_mixed(state)
+    flat = np.asarray(points, dtype=float).reshape(-1, 2)
+    if y_half is None:
+        y_half = 2.0 * rho.reach() + 2.0
+    step = 2.0 * y_half / n_nodes
+    ys = -y_half + step * np.arange(n_nodes)
+    out = np.empty(flat.shape[0], dtype=complex)
+    chunk = max(1, 2_000_000 // n_nodes)
+    for start in range(0, flat.shape[0], chunk):
+        blk = flat[start : start + chunk]
+        x = blk[:, :1]
+        p = blk[:, 1:2]
+        kv = rho.kernel(
+            (x - 0.5 * ys[None, :])[..., None], (x + 0.5 * ys[None, :])[..., None]
+        )
+        out[start : start + chunk] = (
+            step / (2.0 * np.pi) * (np.exp(1j * p * ys[None, :]) * kv).sum(1)
+        )
+    return out
+
+
+def plateau_demo_points(indexing):
+    """The 401 x 13 product set of `plateau_decay_exponent`."""
+    xs = np.linspace(0.0025, 0.9975, 401)
+    ps = np.geomspace(4.0, 10.0, 13)
+    return np.stack(np.meshgrid(xs, ps, indexing=indexing), -1).reshape(-1, 2)
+
+
+def pointwise_case(name):
+    """(state, points, quadrature kwargs) for the per-point equality tests."""
+    if name in ("plateau-ij", "plateau-xy"):
+        return demo_state("plateau"), plateau_demo_points(name[-2:]), {}
+    if name == "scattered-mixture":
+        # three chunks of at most 488 points, every x and p distinct
+        rng = np.random.default_rng(909)
+        return random_mixture(rng, n_atoms=1), rng.uniform(-4.0, 4.0, (1000, 2)), {}
+    if name == "vacuum-repeated-p":
+        xs = np.linspace(-3.0, 3.0, 40)
+        ps = np.tile([0.5, -1.25, 0.0, 2.0], 10)
+        return vacuum_state(1), np.stack([xs, ps], -1), {}
+    rng = np.random.default_rng(910)
+    kwargs = {"n_nodes": 512, "y_half": 20.0}
+    return random_mixture(rng), rng.uniform(-3.0, 3.0, (25, 2)), kwargs
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "plateau-ij",
+        "plateau-xy",
+        "scattered-mixture",
+        "vacuum-repeated-p",
+        "explicit-nodes",
+    ],
+)
+def test_wigner_pointwise_equals_per_point(case):
+    state, pts, kwargs = pointwise_case(case)
+    assert np.array_equal(
+        wigner_pointwise(state, pts, **kwargs),
+        wigner_pointwise_per_point(state, pts, **kwargs),
+    )
+
+
+def test_wigner_pointwise_kernel_points_per_distinct_x(monkeypatch):
+    seen = []
+    kernel = MixedState.kernel
+
+    def counting_kernel(self, x, y):
+        vals = kernel(self, x, y)
+        seen.append(vals.size)
+        return vals
+
+    monkeypatch.setattr(MixedState, "kernel", counting_kernel)
+    wigner_pointwise(demo_state("plateau"), plateau_demo_points("ij"))
+    # 11 chunks of 488 points: 401 distinct x plus one x split by each of the
+    # 10 chunk boundaries, one row of 4096 nodes each (not 5213 rows)
+    assert len(seen) == 11
+    assert sum(seen) == 411 * 4096 == 1_683_456
+
+
+def test_wigner_pointwise_rejects_malformed_points(monkeypatch):
+    def no_kernel(self, x, y):
+        raise AssertionError("kernel evaluated for malformed points")
+
+    monkeypatch.setattr(MixedState, "kernel", no_kernel)
+    with pytest.raises(ValueError, match=r"points must have a last axis of length 2"):
+        wigner_pointwise(vacuum_state(1), np.zeros((4, 3)))
+    monkeypatch.undo()
+    single = wigner_pointwise(vacuum_state(1), np.array([0.0, 0.0]))
+    assert single.shape == () and abs(single.real - 1.0 / np.pi) < 1e-10
+    assert wigner_pointwise(vacuum_state(1), np.zeros((0, 2))).shape == (0,)
