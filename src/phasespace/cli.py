@@ -15,7 +15,7 @@ from .bounds import BoundContext
 from .grid import DEFAULT_BAND, DEFAULT_L, DEFAULT_N, Grid, PhaseSpaceFn
 from .multiindex import as_index
 from .seminorms import SeminormReport, seminorm
-from .states import as_mixed, demo_state, load_state
+from .states import HEAVY_TAIL_MAX_K, as_mixed, demo_state, load_state
 from .transforms import husimi, matel, quasichar, wigner
 from .verify import (
     CSV_HEADER,
@@ -204,12 +204,14 @@ def _resolve_state(args):
 def _resolve_chi(args):
     name = getattr(args, "chi", "vacuum")
     if name in ("vacuum", "fock1"):
-        chi = demo_state(name)
-    else:
-        chi = load_state(name)
-    if not hasattr(chi, "atoms") or chi.atoms is None:
-        raise ValueError("--chi must be a pure analytic state")
-    return chi.normalized()
+        return demo_state(name).normalized()
+    components = load_state(name).pure_states
+    if len(components) != 1:
+        raise ValueError(
+            f"--chi {name}: a reference wavepacket needs exactly one pure state,"
+            f" the file has {len(components)} components"
+        )
+    return components[0].normalized()
 
 
 def _parse_grid(text):
@@ -362,6 +364,9 @@ def _cmd_verify(args):
 
 
 def _cmd_demo(args):
+    k_max = 6 if args.K is None else args.K
+    if not 2 <= k_max <= HEAVY_TAIL_MAX_K:
+        raise ValueError(f"--K must be in [2, {HEAVY_TAIL_MAX_K}], got {k_max}")
     code = 0
     if args.which in ("plateau", "all"):
         rep = check_plateau_decay()
@@ -369,7 +374,7 @@ def _cmd_demo(args):
               f"on p in [4, 10] (polynomial, not rapid, decay)")
         code = max(code, 0 if rep.passed else 1)
     if args.which in ("heavy-tail", "all"):
-        rep = check_heavy_tail_trend(args.K or 6)
+        rep = check_heavy_tail_trend(k_max)
         vals = ", ".join(f"{k}: {_fmt(v)}" for k, v in rep.info.items())
         print("heavy-tail: first decay seminorm grows with K -> no uniform "
               "Schwartz control")

@@ -129,6 +129,15 @@ class PureState:
             out.append(Atom(at.m, new_alpha, at.coeff * phase))
         return PureState(out)
 
+    def parity(self):
+        """Pi applied exactly: Pi c D_g phi_m = (-1)^{|m|} c D_{-g} phi_m."""
+        return PureState(
+            [
+                Atom(at.m, tuple(-a for a in at.alpha), (-1) ** sum(at.m) * at.coeff)
+                for at in self.atoms
+            ]
+        )
+
     def derivative(self, axis):
         """d/dy_axis, exact: D_a(i a_p phi_m + phi_m') per atom."""
         out = []
@@ -429,14 +438,9 @@ def wigner_values(state, points):
 
     points has shape (..., 2n); the result is real with shape (...,).
     Uses the parity-displacement identity W_rho(z) = pi^{-n} tr[rho D_z Pi
-    D_z^dagger] (Grossmann 1976; Royer, Phys. Rev. A 15, 449 (1977)).  For
-    atoms c_a D_g phi_ma and c_b D_h phi_mb the pair term is
-
-        c_a conj(c_b) (-1)^{|ma|} pi^{-n} e^{i z /\\ (g - h) + (i/2) g /\\ h}
-        <phi_mb | D_{2z-g-h} | phi_ma>,
-
-    and the (b, a) term is its conjugate, so each unordered pair is
-    evaluated once.
+    D_z^dagger] = pi^{-n} tr[rho D_{2z} Pi] (Grossmann 1976; Royer, Phys.
+    Rev. A 15, 449 (1977)), so each component contributes
+    <psi | D_{2z} Pi psi> = <D_{-2z} psi | Pi psi>.
     """
     rho = as_mixed(state)
     if not rho.is_analytic:
@@ -446,23 +450,8 @@ def wigner_values(state, points):
         raise ValueError(f"points last axis must be {2 * rho.n}")
     out = np.zeros(z.shape[:-1])
     for w, ps in zip(rho.weights, rho.pure_states):
-        if w == 0.0:
-            continue
-        for i, aa in enumerate(ps.atoms):
-            g = np.asarray(aa.alpha, dtype=float)
-            for ab in ps.atoms[i:]:
-                h = np.asarray(ab.alpha, dtype=float)
-                phase = np.exp(
-                    1j * symplectic_form(z, g - h) + 0.5j * symplectic_form(g, h)
-                )
-                term = (
-                    (-1) ** sum(aa.m)
-                    * aa.coeff
-                    * np.conj(ab.coeff)
-                    * phase
-                    * displacement_matrix_element(ab.m, aa.m, 2.0 * z - g - h)
-                ).real
-                out += w * (term if ab is aa else 2.0 * term)
+        if w != 0.0:
+            out += w * displaced_overlaps(ps, -2.0 * z, ps.parity()).real
     return out / np.pi**rho.n
 
 

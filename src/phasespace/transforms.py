@@ -10,13 +10,8 @@ semidiscrete DFT matrices like the grid module does.
 
 import numpy as np
 
-from .grid import (
-    GridResolutionError,
-    PhaseSpaceFn,
-    symplectic_form,
-    symplectic_fourier,
-)
-from .states import as_mixed, displaced_overlaps, wigner_values
+from .grid import GridResolutionError, PhaseSpaceFn, symplectic_fourier
+from .states import as_mixed, displaced_overlaps
 
 QUASICHAR_CROSS_TOL = 1e-6
 HUSIMI_CROSS_TOL = 1e-6
@@ -244,9 +239,11 @@ class MatelSampler:
 def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
     """Direct quadrature of the Wigner integral at arbitrary points (n=1).
 
-    Within each chunk the kernel row is evaluated once per distinct x and
-    the phase row once per distinct p; each point reads both through the
-    inverse indices, so a product set xs × ps costs about |xs| kernel rows.
+    The points are stable-sorted by x before chunking, so equal x share a
+    chunk whatever the input order.  Within each chunk the kernel row is
+    evaluated once per distinct x and the phase row once per distinct p;
+    each point reads both through the inverse indices, so a product set
+    xs × ps costs about |xs| kernel rows.
     """
     rho = as_mixed(state)
     if rho.n != 1:
@@ -257,6 +254,8 @@ def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
             f"points must have a last axis of length 2 (x, p), got shape {pts.shape}"
         )
     flat = pts.reshape(-1, 2)
+    order = np.argsort(flat[:, 0], kind="stable")
+    flat = flat[order]
     if y_half is None:
         y_half = 2.0 * rho.reach() + 2.0
     step = 2.0 * y_half / n_nodes
@@ -265,6 +264,7 @@ def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
     chunk = max(1, 2_000_000 // n_nodes)
     for start in range(0, flat.shape[0], chunk):
         blk = flat[start : start + chunk]
+        rows = order[start : start + chunk]
         x, x_of = np.unique(blk[:, 0], return_inverse=True)
         p, p_of = np.unique(blk[:, 1], return_inverse=True)
         x, p = x[:, None], p[:, None]
@@ -272,9 +272,7 @@ def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
             (x - 0.5 * ys[None, :])[..., None], (x + 0.5 * ys[None, :])[..., None]
         )
         phase = np.exp(1j * p * ys[None, :])
-        out[start : start + chunk] = (
-            step / (2.0 * np.pi) * (phase[p_of] * kv[x_of]).sum(1)
-        )
+        out[rows] = step / (2.0 * np.pi) * (phase[p_of] * kv[x_of]).sum(1)
     return out.reshape(pts.shape[:-1])
 
 
@@ -296,23 +294,13 @@ def gaussian_atom_params(chi):
 def offdiag_wigner(chi, alpha, beta, gammas):
     """Wigner transform of |chi_alpha><chi_beta| at points gammas.
 
-    Closed form: e^{i (gamma - abar/2) /\\ dalpha} W_chi(gamma - abar)
-    with abar = (alpha+beta)/2 and dalpha = alpha - beta; W_chi is the
-    Gaussian for a single m=0 atom and `wigner_values` otherwise.
+    Closed form by the parity-displacement identity, as in `wigner_values`:
+    pi^{-n} <chi_beta | D_{2 gamma} Pi | chi_alpha>.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    abar = 0.5 * (alpha + beta)
-    dalpha = alpha - beta
-    phase = np.exp(1j * symplectic_form(gammas - 0.5 * abar, dalpha))
-    params = gaussian_atom_params(chi)
-    if params is not None:
-        weight, center = params
-        base = weight * np.exp(-((gammas - abar - center) ** 2).sum(-1))
-    else:
-        base = wigner_values(chi, gammas - abar)
-    return phase * base
+    return displaced_overlaps(
+        chi.displaced(beta), -2.0 * gammas, chi.displaced(alpha).parity()
+    ) / np.pi**chi.n
 
 
 def _twisted_form(f, g, form):

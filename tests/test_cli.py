@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phasespace import Grid, save_state, vacuum_state, wigner
+from phasespace import Grid, random_mixture, save_state, vacuum_state, wigner
 from phasespace import bounds, cli, transforms, verify
 from phasespace.cli import (
     BOUND_HEADER,
@@ -425,3 +425,46 @@ def test_config_grid_n_names_power_of_two_line(tmp_path, no_transforms, capsys):
 def test_wigner_grid_flag_not_power_of_two(no_transforms, capsys):
     assert run_cli("wigner", "--demo", "vacuum", "--grid", "100,8") == 2
     assert "power of two" in capsys.readouterr().err
+
+
+# --- --chi FILE and demo --K ----------------------------------------------------
+
+
+def test_chi_file_matches_named_window(tmp_path, capsys):
+    path = tmp_path / "vacuum.json"
+    save_state(vacuum_state(1), path)
+    argv = ("matel", "--demo", "fock1", "--alpha", "0.4,-0.3", "--beta", "1.1,0.2")
+    assert run_cli(*argv, "--chi", "vacuum") == 0
+    named = capsys.readouterr().out
+    assert run_cli(*argv, "--chi", str(path)) == 0
+    assert capsys.readouterr().out == named
+
+
+def test_chi_file_with_several_components_rejected(tmp_path, capsys):
+    path = tmp_path / "mixture.json"
+    save_state(random_mixture(np.random.default_rng(5), n_components=3), path)
+    code = run_cli(
+        "matel", "--demo", "fock1", "--alpha", "0,0", "--beta", "0,0",
+        "--chi", str(path),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--chi {path}" in err and "3 components" in err
+
+
+@pytest.mark.parametrize("k", ["0", "1", "-3", "21"])
+def test_demo_k_out_of_range_rejected_before_work(monkeypatch, capsys, k):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a diagnostic ran with an out-of-range --K")
+
+    for name in ("check_plateau_decay", "check_heavy_tail_trend"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert run_cli("demo", "--K", k) == 2
+    err = capsys.readouterr().err
+    assert "--K" in err and "[2, 20]" in err
+
+
+def test_demo_k_range_ends_accepted(capsys):
+    for k in ("2", "20"):
+        assert run_cli("demo", "--which", "heavy-tail", "--K", k) == 0
+    assert "K=20:" in capsys.readouterr().out

@@ -20,6 +20,7 @@ from phasespace import (
     random_mixture,
     random_pure_state,
     save_state,
+    symplectic_form,
     vacuum_state,
     wigner,
     wigner_pointwise,
@@ -31,7 +32,7 @@ from phasespace.states import (
     pure_overlap,
     quasichar_values,
 )
-from phasespace.transforms import quasichar
+from phasespace.transforms import gaussian_atom_params, quasichar
 
 
 def kernel(rho, xs, ys):
@@ -321,6 +322,115 @@ def test_wigner_values_high_order_far_from_center():
     assert abs(val) < 1e-12
     # and the origin of the atom still carries the parity value (-1)^300 / pi
     assert wigner_values(state, center) == pytest.approx(1.0 / np.pi, rel=1e-12)
+
+
+# --- parity and the parity-displacement closed forms ----------------------------
+
+
+def wigner_values_pair_loop(state, points):
+    """The unordered atom-pair sum: for atoms c_a D_g phi_ma, c_b D_h phi_mb
+    the pair term is c_a conj(c_b) (-1)^{|ma|} pi^{-n}
+    e^{i z /\\ (g - h) + (i/2) g /\\ h} <phi_mb | D_{2z-g-h} | phi_ma>."""
+    rho = as_mixed(state)
+    z = np.asarray(points, dtype=float)
+    out = np.zeros(z.shape[:-1])
+    for w, ps in zip(rho.weights, rho.pure_states):
+        for i, aa in enumerate(ps.atoms):
+            g = np.asarray(aa.alpha, dtype=float)
+            for ab in ps.atoms[i:]:
+                h = np.asarray(ab.alpha, dtype=float)
+                phase = np.exp(
+                    1j * symplectic_form(z, g - h) + 0.5j * symplectic_form(g, h)
+                )
+                term = (
+                    (-1) ** sum(aa.m)
+                    * aa.coeff
+                    * np.conj(ab.coeff)
+                    * phase
+                    * displacement_matrix_element(ab.m, aa.m, 2.0 * z - g - h)
+                ).real
+                out += w * (term if ab is aa else 2.0 * term)
+    return out / np.pi**rho.n
+
+
+def offdiag_wigner_phase_formula(chi, alpha, beta, gammas):
+    """e^{i (gamma - abar/2) /\\ dalpha} W_chi(gamma - abar), abar = (alpha +
+    beta)/2, dalpha = alpha - beta; W_chi is the Gaussian for a single m = 0
+    atom and the pair loop otherwise."""
+    abar = 0.5 * (alpha + beta)
+    phase = np.exp(1j * symplectic_form(gammas - 0.5 * abar, alpha - beta))
+    params = gaussian_atom_params(chi)
+    if params is not None:
+        weight, center = params
+        return phase * weight * np.exp(-((gammas - abar - center) ** 2).sum(-1))
+    return phase * wigner_values_pair_loop(chi, gammas - abar)
+
+
+def hermite_atoms_n(n):
+    return st.builds(
+        lambda m, alpha, re, im: Atom(tuple(m), tuple(alpha), complex(re, im)),
+        st.lists(st.integers(0, 40), min_size=n, max_size=n),
+        st.lists(st.floats(-10.0, 10.0), min_size=2 * n, max_size=2 * n),
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
+    )
+
+
+def phase_points(n, min_size=1, max_size=6):
+    return st.lists(
+        st.lists(st.floats(-10.0, 10.0), min_size=2 * n, max_size=2 * n),
+        min_size=min_size,
+        max_size=max_size,
+    ).map(np.array)
+
+
+# (1-3-atom pure state, phase-space points, two labels) with n in {1, 2}
+states_and_points = st.integers(1, 2).flatmap(
+    lambda n: st.tuples(
+        st.lists(hermite_atoms_n(n), min_size=1, max_size=3).map(PureState),
+        phase_points(n),
+        phase_points(n, 2, 2),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_points)
+def test_parity_is_an_exact_involution(case):
+    ps, pts, _ = case
+    assert ps.parity().parity().atoms == ps.atoms
+    ys = pts[:, : ps.n]
+    assert np.abs(ps.parity().evaluate(ys) - ps.evaluate(-ys)).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_points)
+def test_wigner_values_match_pair_loop(case):
+    ps, pts, _ = case
+    for state in (ps, MixedState([0.75, 0.25], [ps, ps.parity()])):
+        expected = wigner_values_pair_loop(state, pts)
+        assert np.abs(wigner_values(state, pts) - expected).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=states_and_points)
+def test_offdiag_wigner_matches_phase_formula(case):
+    chi, gammas, (alpha, beta) = case
+    expected = offdiag_wigner_phase_formula(chi, alpha, beta, gammas)
+    assert np.abs(offdiag_wigner(chi, alpha, beta, gammas) - expected).max() <= 1e-12
+
+
+def test_offdiag_wigner_matches_gaussian_formula():
+    # the single m = 0 window the phase formula evaluated as a plain Gaussian
+    rng = np.random.default_rng(31)
+    for n in (1, 2):
+        center = tuple(rng.uniform(-10.0, 10.0, 2 * n))
+        chi = PureState([Atom((0,) * n, center, 0.6 - 0.3j)])
+        alpha, beta = rng.uniform(-10.0, 10.0, (2, 2 * n))
+        gammas = rng.uniform(-10.0, 10.0, (50, 2 * n))
+        expected = offdiag_wigner_phase_formula(chi, alpha, beta, gammas)
+        got = offdiag_wigner(chi, alpha, beta, gammas)
+        assert np.abs(got - expected).max() <= 1e-12
 
 
 def test_plateau_values():

@@ -510,11 +510,14 @@ def test_wigner_pointwise_kernel_points_per_distinct_x(monkeypatch):
         return vals
 
     monkeypatch.setattr(MixedState, "kernel", counting_kernel)
-    wigner_pointwise(demo_state("plateau"), plateau_demo_points("ij"))
-    # 11 chunks of 488 points: 401 distinct x plus one x split by each of the
-    # 10 chunk boundaries, one row of 4096 nodes each (not 5213 rows)
-    assert len(seen) == 11
-    assert sum(seen) == 411 * 4096 == 1_683_456
+    for indexing in ("ij", "xy"):
+        seen.clear()
+        wigner_pointwise(demo_state("plateau"), plateau_demo_points(indexing))
+        # the points are sorted by x first, so either order gives 11 chunks of
+        # 488 points: 401 distinct x plus one x split by each of the 10 chunk
+        # boundaries, one row of 4096 nodes each (not 5213 rows)
+        assert len(seen) == 11, indexing
+        assert sum(seen) == 411 * 4096 == 1_683_456, indexing
 
 
 def test_wigner_pointwise_rejects_malformed_points(monkeypatch):
