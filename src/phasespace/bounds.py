@@ -86,12 +86,11 @@ def cauchy_schwarz_reports(state, chi, pairs):
 # off-diagonal Wigner seminorm bounds
 
 
-def chi_seminorm_table(chi, a_max, b_max, grid=None, band=None):
+def chi_seminorm_table(chi, a_max, b_max, grid=None):
     """Seminorm table of W_chi used by the off-diagonal bound formulas."""
     if grid is None:
         grid = Grid(2, DEFAULT_N, DEFAULT_L)
-    w_chi = wigner(as_mixed(chi), grid)
-    return seminorm_table(w_chi, a_max, b_max, band=band)
+    return seminorm_table(wigner(as_mixed(chi), grid), a_max, b_max)
 
 
 def offdiag_tight_rhs(table, a, b, alpha, beta):
@@ -132,15 +131,14 @@ def offdiag_loose_rhs(table, a, b, alpha, beta):
     )
 
 
-def offdiag_bound_rhs(chi, a, b, alpha, beta, variant, table=None, grid=None):
+def offdiag_bound_rhs(chi, a, b, alpha, beta, variant, table=None):
     """Right-hand side of the chosen off-diagonal seminorm bound."""
+    if variant not in ("tight", "loose"):
+        raise ValueError(f"unknown variant {variant!r}; use 'tight' or 'loose'")
     if table is None:
-        table = chi_seminorm_table(chi, a, b, grid=grid)
-    if variant == "tight":
-        return offdiag_tight_rhs(table, a, b, alpha, beta)
-    if variant == "loose":
-        return offdiag_loose_rhs(table, a, b, alpha, beta)
-    raise ValueError(f"unknown variant {variant!r}; use 'tight' or 'loose'")
+        table = chi_seminorm_table(chi, a, b)
+    rhs = offdiag_tight_rhs if variant == "tight" else offdiag_loose_rhs
+    return rhs(table, a, b, alpha, beta)
 
 
 def offdiag_grid_fn(chi, alpha, beta, grid):

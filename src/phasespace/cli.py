@@ -20,6 +20,8 @@ from .transforms import husimi, matel, quasichar, wigner
 from .verify import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
+    PLATEAU_P_HI,
+    PLATEAU_P_LO,
     check_heavy_tail_trend,
     check_plateau_decay,
     run_suite,
@@ -155,17 +157,6 @@ def export_csv(obj, path, header=None):
         raise ValueError(f"cannot write {path}: {exc.strerror}")
 
 
-def read_csv_values(path):
-    """Round-trip reader for exported grid functions (testing aid)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = np.array(
-        [[float(cell) for cell in row] for row in rows]
-    ) if rows else np.empty((0, len(header)))
-    return header, cols
-
-
 # ---------------------------------------------------------------------------
 # shared argument plumbing
 
@@ -196,6 +187,8 @@ def _add_state_flags(parser, with_chi=False):
 def _resolve_state(args):
     if (args.demo is None) == (args.state is None):
         raise ValueError("exactly one of --demo or --state is required")
+    if args.K is not None and args.demo != "heavy-tail":
+        raise ValueError("--K applies only to --demo heavy-tail")
     if args.demo is not None:
         return demo_state(args.demo, K=args.K), args.demo.replace("-", "_")
     return load_state(args.state), None
@@ -371,7 +364,8 @@ def _cmd_demo(args):
     if args.which in ("plateau", "all"):
         rep = check_plateau_decay()
         print(f"plateau: sup_x |W(x,p)| ~ p^-{rep.info['exponent']:.4f} "
-              f"on p in [4, 10] (polynomial, not rapid, decay)")
+              f"on p in [{PLATEAU_P_LO:g}, {PLATEAU_P_HI:g}] "
+              f"(polynomial, not rapid, decay)")
         code = max(code, 0 if rep.passed else 1)
     if args.which in ("heavy-tail", "all"):
         rep = check_heavy_tail_trend(k_max)

@@ -138,9 +138,9 @@ def seminorm(fn, a, b, band=None, refine=True):
     return _seminorm_entries(fn, [(a, b)], band, refine)[(as_index(a), as_index(b))]
 
 
-def norm_sum(fn, a, b, band=None, refine=True):
+def norm_sum(fn, a, b, band=None):
     """Sum of seminorms over the downward-closed box a' <= a, b' <= b."""
-    return sum(seminorm_table(fn, a, b, band, refine).values())
+    return sum(seminorm_table(fn, a, b, band).values())
 
 
 def seminorm_table(fn, a_max, b_max, band=None, refine=True):
@@ -182,7 +182,7 @@ def _line_values(ps, xs):
     return (coeffs * np.exp(1j * (xs - 0.5 * shift) * kick) * phi).sum(axis=0)
 
 
-def joint_seminorm(states, a, b, n_nodes=4096):
+def joint_seminorm(states, a, b):
     """sqrt of sup_x sum_i |x^a (d^b psi_i)(x)|^2 for a finite family."""
     states = list(states)
     if not states:
@@ -203,7 +203,7 @@ def joint_seminorm(states, a, b, n_nodes=4096):
         return total
 
     half = max(ps.reach() for ps in states) + order(a) + order(b)
-    xs = np.linspace(-half, half, n_nodes)
+    xs = np.linspace(-half, half, 4096)
     vals = sq_sum(xs)
     best = float(vals.max())
     center = float(xs[int(np.argmax(vals))])
@@ -227,7 +227,7 @@ def scaled_components(state):
     ]
 
 
-def kernel_seminorm(state, a, b, c, d, n_nodes=1024):
+def kernel_seminorm(state, a, b, c, d):
     """sup_{x,y} |x^a y^c (d_x^b d_y^d K)(x,y)| for an analytic mixture."""
     rho = as_mixed(state)
     if rho.n != 1:
@@ -250,7 +250,7 @@ def kernel_seminorm(state, a, b, c, d, n_nodes=1024):
         i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
         return float(mat[i, j]), float(xs[i]), float(ys[j])
 
-    xs = np.linspace(-half, half, n_nodes)
+    xs = np.linspace(-half, half, 1024)
     best, cx, cy = sup_on(xs, xs)
     width = float(xs[1] - xs[0])
     for _ in range(ZOOM_ROUNDS):

@@ -455,17 +455,6 @@ def wigner_values(state, points):
     return out / np.pi**rho.n
 
 
-def overlap_by_quadrature(phi, psi, n_nodes=8192, half=None):
-    """<phi | psi> by rectangle quadrature on a fine 1-D lattice."""
-    if phi.n != 1 or psi.n != 1:
-        raise ValueError("quadrature overlap implemented for n=1")
-    if half is None:
-        half = max(phi.reach(), psi.reach())
-    step = 2.0 * half / n_nodes
-    ys = (-half + step * np.arange(n_nodes))[:, None]
-    return step * np.sum(np.conj(phi.evaluate(ys)) * psi.evaluate(ys))
-
-
 # ---------------------------------------------------------------------------
 # demo states, random ensembles, JSON serialization
 

@@ -10,18 +10,12 @@ semidiscrete DFT matrices like the grid module does.
 
 import numpy as np
 
-from .grid import GridResolutionError, PhaseSpaceFn, symplectic_fourier
+from .grid import Grid, GridResolutionError, PhaseSpaceFn, symplectic_fourier
 from .states import as_mixed, displaced_overlaps
 
 QUASICHAR_CROSS_TOL = 1e-6
 HUSIMI_CROSS_TOL = 1e-6
 HUSIMI_NEGATIVITY_FLOOR = -1e-7
-
-
-def _aux_lattice(grid):
-    """Integration lattice: 2N nodes with grid spacing on [-2L, 2L)."""
-    h = grid.spacing
-    return -2.0 * grid.half_extent + h * np.arange(2 * grid.n_points)
 
 
 def _mesh(axis, n):
@@ -38,7 +32,8 @@ def _rep_on_grid(rho, grid, rep):
     n = grid.dim // 2
     axis = grid.axis()
     h = grid.spacing
-    aux = _aux_lattice(grid)
+    # integration lattice: 2N nodes with the grid spacing on [-2L, 2L)
+    aux = Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config").axis()
     rows = _mesh(axis, n)
     nodes = _mesh(aux, n)
     kernel_mat = h * np.exp(1j * np.outer(axis, aux))
@@ -101,10 +96,10 @@ def _reflect(values):
     return out
 
 
-def _interior_samples(grid, count=9):
-    """A few well-interior lattice points: origin plus a small ring."""
+def _interior_samples(grid):
+    """Nine well-interior lattice points: origin plus a ring of eight."""
     radius = min(2.0, 0.25 * grid.half_extent)
-    angles = 2.0 * np.pi * np.arange(count - 1) / (count - 1)
+    angles = 2.0 * np.pi * np.arange(8) / 8
     ring = radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     pts = np.vstack([np.zeros((1, 2)), ring])
     n = grid.dim // 2
@@ -159,18 +154,18 @@ def husimi_at(fn, points):
     return fn.values[tuple(idx[..., i] for i in range(g.dim))]
 
 
-def _displaced_overlaps_quadrature(chi, alphas, psi, n_nodes=8192):
+def _displaced_overlaps_quadrature(chi, alphas, psi):
     """<D_alpha chi | psi> by quadrature; n=1 pointwise fallback."""
     if chi.n != 1 or psi.n != 1:
         raise ValueError("quadrature matrix elements implemented for n=1")
     half = max(chi.reach() + float(np.abs(alphas).max(initial=0.0)), psi.reach())
-    step = 2.0 * half / n_nodes
-    ys = -half + step * np.arange(n_nodes)
+    lattice = Grid(1, 8192, half, kind="config")
+    ys, step = lattice.axis(), lattice.spacing
     psi_vals = psi.evaluate(ys[:, None])
     alphas = np.asarray(alphas, dtype=float)
     flat = alphas.reshape(-1, 2)
     out = np.empty(flat.shape[0], dtype=complex)
-    chunk = max(1, 2_000_000 // n_nodes)
+    chunk = max(1, 2_000_000 // ys.size)
     for start in range(0, flat.shape[0], chunk):
         a = flat[start : start + chunk]
         shifted = ys[None, :] - a[:, :1]
@@ -258,8 +253,8 @@ def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
     flat = flat[order]
     if y_half is None:
         y_half = 2.0 * rho.reach() + 2.0
-    step = 2.0 * y_half / n_nodes
-    ys = -y_half + step * np.arange(n_nodes)
+    lattice = Grid(1, n_nodes, y_half, kind="config")
+    ys, step = lattice.axis(), lattice.spacing
     out = np.empty(flat.shape[0], dtype=complex)
     chunk = max(1, 2_000_000 // n_nodes)
     for start in range(0, flat.shape[0], chunk):
@@ -314,12 +309,11 @@ def _twisted_form(f, g, form):
     return form
 
 
-def twisted_convolution(f, g, form, alphas, f_eval=None):
+def twisted_convolution(f, g, form, alphas):
     """(f (x)_form g)(alpha) = int e^{i alpha.form.beta/2} f(alpha-beta) g(beta).
 
-    f(alpha - beta) comes from `f_eval` when given (exact re-evaluation);
-    otherwise alpha must lie on the lattice and shifted samples of f are
-    used with zero padding outside the box.
+    alpha must lie on the lattice; f(alpha - beta) is read from the shifted
+    samples of f, with zero padding outside the box.
     """
     gd = g.grid
     form = _twisted_form(f, g, form)
@@ -329,23 +323,17 @@ def twisted_convolution(f, g, form, alphas, f_eval=None):
     phase_arg = beta @ form.T  # row b -> form.b evaluated at mesh points
     gvals = np.asarray(g.values).reshape(-1)
     n_pts = gd.n_points
-    if f_eval is None:
-        pad = np.zeros((2 * n_pts,) * gd.dim, dtype=complex)
-        pad[(slice(n_pts // 2, n_pts // 2 + n_pts),) * gd.dim] = f.values
-        beta_idx = np.rint((beta + gd.half_extent) / gd.spacing).astype(int)
+    pad = np.zeros((2 * n_pts,) * gd.dim, dtype=complex)
+    pad[(slice(n_pts // 2, n_pts // 2 + n_pts),) * gd.dim] = f.values
+    beta_idx = np.rint((beta + gd.half_extent) / gd.spacing).astype(int)
     out = np.empty(flat.shape[0], dtype=complex)
     for i, a in enumerate(flat):
         phases = np.exp(0.5j * phase_arg @ a)
-        if f_eval is not None:
-            fv = np.asarray(f_eval(a[None, :] - beta), dtype=complex)
-        else:
-            ai = np.rint((a + gd.half_extent) / gd.spacing).astype(int)
-            if np.abs(-gd.half_extent + gd.spacing * ai - a).max() > 1e-9:
-                raise ValueError(
-                    "alpha off the lattice; pass f_eval for exact re-evaluation"
-                )
-            shift = ai[None, :] - beta_idx + n_pts
-            fv = pad[tuple(shift[:, k] for k in range(gd.dim))]
+        ai = np.rint((a + gd.half_extent) / gd.spacing).astype(int)
+        if np.abs(-gd.half_extent + gd.spacing * ai - a).max() > 1e-9:
+            raise ValueError("alpha off the lattice")
+        shift = ai[None, :] - beta_idx + n_pts
+        fv = pad[tuple(shift[:, k] for k in range(gd.dim))]
         out[i] = (phases * fv * gvals).sum()
     return (gd.spacing**gd.dim) * out.reshape(alphas.shape[:-1])
 
@@ -396,14 +384,12 @@ def momentum_marginal(fn):
     return fn.grid.axis(), marg
 
 
-def momentum_density(psi, p_points, n_nodes=4096, half=None):
+def momentum_density(psi, p_points, n_nodes=4096):
     """|psi_hat(p)|^2 by quadrature of the unitary Fourier transform (n=1)."""
     if psi.n != 1:
         raise ValueError("momentum density implemented for n=1")
-    if half is None:
-        half = psi.reach()
-    step = 2.0 * half / n_nodes
-    xs = -half + step * np.arange(n_nodes)
+    lattice = Grid(1, n_nodes, psi.reach(), kind="config")
+    xs, step = lattice.axis(), lattice.spacing
     vals = psi.evaluate(xs[:, None])
     p_points = np.asarray(p_points, dtype=float)
     hat = (

@@ -68,6 +68,13 @@ DEFAULT_TOLERANCES = {
 FOUR_D_SPACING = 0.4
 FOUR_D_NODES = 48
 
+# the twisted-expansion check runs on its own small grid, whatever the suite's
+TWISTED_GRID = Grid(2, 64, 8.0)
+
+PLATEAU_P_LO = 4.0
+PLATEAU_P_HI = 10.0
+PLATEAU_N_P = 13
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -166,16 +173,16 @@ def check_trace(state, chi=None, grid=None, tol=None, seed=0):
     return _report("trace", resid, tol, 2, grid, seed)
 
 
-def check_overlap(state, grid=None, tol=None, seed=0, n_partners=3):
-    """tr[rho eta] = (2pi)^n int W_rho W_eta for random partner states."""
+def check_overlap(state, grid=None, tol=None, seed=0):
+    """tr[rho eta] = (2pi)^n int W_rho W_eta for three random partner states."""
     ctx = _context(state, grid=grid)
     grid, rho = ctx.grid, ctx.rho
     tol = DEFAULT_TOLERANCES["overlap"] if tol is None else tol
     rng = np.random.default_rng(seed)
     w_rho = ctx.w_rho()
+    partners = [random_pure_state(rng) for _ in range(3)]
     resid = 0.0
-    for _ in range(n_partners):
-        eta = random_pure_state(rng)
+    for eta in partners:
         closed = sum(
             w * abs(pure_overlap(ps, eta)) ** 2
             for w, ps in zip(rho.weights, rho.pure_states)
@@ -185,24 +192,22 @@ def check_overlap(state, grid=None, tol=None, seed=0, n_partners=3):
             w_rho.values * w_eta.values
         )
         resid = max(resid, abs(closed - quad))
-    return _report("overlap", resid, tol, n_partners, grid, seed)
+    return _report("overlap", resid, tol, len(partners), grid, seed)
 
 
-def check_husimi(state, chi=None, grid=None, tol=None, seed=0, n_samples=40):
-    """Convolution-route Husimi against direct matrix elements."""
+def check_husimi(state, chi=None, grid=None, tol=None, seed=0):
+    """Convolution-route Husimi against direct matrix elements at 40 points."""
     ctx = _context(state, chi, grid)
     grid = ctx.grid
     tol = DEFAULT_TOLERANCES["husimi"] if tol is None else tol
     q_fn = ctx.q_rho()
     rng = np.random.default_rng(seed)
-    idx = rng.integers(
-        grid.n_points // 4, 3 * grid.n_points // 4, (n_samples, grid.dim)
-    )
+    idx = rng.integers(grid.n_points // 4, 3 * grid.n_points // 4, (40, grid.dim))
     pts = -grid.half_extent + grid.spacing * idx
     direct = matel(ctx.rho, ctx.chi, pts, pts).real
     grid_vals = q_fn.values[tuple(idx[:, i] for i in range(grid.dim))]
     resid = np.abs(grid_vals - direct).max()
-    return _report("husimi", resid, tol, n_samples, grid, seed)
+    return _report("husimi", resid, tol, len(idx), grid, seed)
 
 
 def check_cauchy_schwarz(state, chi=None, tol=None, seed=0, n_pairs=1000):
@@ -226,14 +231,14 @@ def check_cauchy_schwarz(state, chi=None, tol=None, seed=0, n_pairs=1000):
     return _report("cauchy-schwarz", resid, tol, n_pairs, None, seed)
 
 
-def _offdiag_direct(chi, alpha, beta, gamma, n_nodes=16384):
+def _offdiag_direct(chi, alpha, beta, gamma):
     """Independent route: quadrature of the partial Fourier transform of
     the rank-one kernel chi_alpha(x) conj(chi_beta(y))."""
     chi_a = chi.displaced(alpha)
     chi_b = chi.displaced(beta)
     y_half = 2.0 * max(chi_a.reach(), chi_b.reach()) + 2.0
-    step = 2.0 * y_half / n_nodes
-    ys = -y_half + step * np.arange(n_nodes)
+    lattice = Grid(1, 16384, y_half, kind="config")
+    ys, step = lattice.axis(), lattice.spacing
     x, p = gamma
     va = chi_a.evaluate((x - 0.5 * ys)[:, None])
     vb = chi_b.evaluate((x + 0.5 * ys)[:, None])
@@ -265,9 +270,7 @@ def _coherent_overlaps(chi, fixed, mesh):
     return np.conj(displaced_overlaps(chi, mesh, chi.displaced(fixed)))
 
 
-def check_reproducing(
-    state, chi=None, samples=None, tol=None, seed=0, spacing=0.5, half=12.0
-):
+def check_reproducing(state, chi=None, samples=None, tol=None, seed=0):
     """M(a,b) against the coherent-resolution quadrature in each slot."""
     tol = DEFAULT_TOLERANCES["reproducing"] if tol is None else tol
     ctx = _context(state, chi)
@@ -277,6 +280,7 @@ def check_reproducing(
     rng = np.random.default_rng(seed)
     if samples is None:
         samples = list(rng.uniform(-1.5, 1.5, (10, 2, 2)))
+    spacing, half = 0.5, 12.0  # 48 x 48 resolution nodes on the default box
     n_nodes = int(round(2.0 * half / spacing))
     axis = -half + spacing * np.arange(n_nodes)
     mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
@@ -479,17 +483,16 @@ def _weighted_g_values(g_fn, form, power):
     return PhaseSpaceFn(g_fn.grid, weight * g_fn.values, "weighted")
 
 
-def check_twisted_expansion(
-    state, chi=None, tol=None, seed=0, orders=((1, 0), (0, 1), (2, 0), (1, 1)),
-    grid=None, n_samples=25,
-):
-    """d^a of a twisted convolution against its binomial expansion."""
+def check_twisted_expansion(state, chi=None, tol=None, seed=0, n_samples=25):
+    """d^a of a twisted convolution against its binomial expansion, for
+    the orders a = (1, 0), (0, 1), (2, 0), (1, 1) on TWISTED_GRID."""
     tol = DEFAULT_TOLERANCES["twisted-expansion"] if tol is None else tol
     ctx = _context(state, chi)
     rho, chi = ctx.rho, ctx.chi
     if rho.n != 1:
         raise ValueError("twisted expansion check implemented for n=1")
-    grid = grid or Grid(2, 64, 8.0)
+    grid = TWISTED_GRID
+    orders = ((1, 0), (0, 1), (2, 0), (1, 1))
     form = 2.0 * omega_matrix(1)
     f_fn = wigner(as_mixed(chi), grid)
     g_fn = wigner(rho, grid)
@@ -518,7 +521,7 @@ def check_twisted_expansion(
 # counterexample diagnostics
 
 
-def heavy_tail_first_seminorms(k_max=6, sweep_step=0.05):
+def heavy_tail_first_seminorms(k_max=6):
     """sup_x |x W(x, 0)| for the heavy-tail family, K = 1..k_max.
 
     The supremum over p sits at p = 0 for these states, so a 1-D sweep
@@ -527,6 +530,7 @@ def heavy_tail_first_seminorms(k_max=6, sweep_step=0.05):
     a component centre j^3; further out every Gaussian is below e^-16 of
     its peak.  W comes from the closed form `wigner_values`, exact at any K.
     """
+    sweep_step = 0.05
     values = []
     for k in range(1, k_max + 1):
         rho = demo_state("heavy_tail", K=k)
@@ -563,14 +567,14 @@ def check_heavy_tail_trend(k_max=6, seed=0):
     )
 
 
-def plateau_decay_exponent(p_lo=4.0, p_hi=10.0, n_p=13, n_x=401):
-    """Fitted polynomial decay exponent of sup_x |W(x, p)| on [p_lo, p_hi]."""
+def plateau_decay_exponent():
+    """Fitted polynomial decay exponent of sup_x |W(x, p)| over the
+    plateau fit window [PLATEAU_P_LO, PLATEAU_P_HI]."""
     rho = demo_state("plateau")
-    ps = np.geomspace(p_lo, p_hi, n_p)
-    xs = np.linspace(0.0025, 0.9975, n_x)
+    ps = np.geomspace(PLATEAU_P_LO, PLATEAU_P_HI, PLATEAU_N_P)
+    xs = np.linspace(0.0025, 0.9975, 401)
     pts = np.stack(np.meshgrid(xs, ps, indexing="ij"), -1)
-    vals = np.abs(wigner_pointwise(rho, pts.reshape(-1, 2)).real)
-    sups = vals.reshape(n_x, n_p).max(axis=0)
+    sups = np.abs(wigner_pointwise(rho, pts).real).max(axis=0)
     slope = np.polyfit(np.log(ps), np.log(sups), 1)[0]
     return float(-slope)
 
@@ -579,7 +583,7 @@ def check_plateau_decay(seed=0):
     exponent = plateau_decay_exponent()
     resid = float(max(0.0, 0.5 - exponent, exponent - 2.0))
     return VerifyReport(
-        "plateau-decay", resid, 0.0, 13, 0, 0.0, seed, {"exponent": exponent}
+        "plateau-decay", resid, 0.0, PLATEAU_N_P, 0, 0.0, seed, {"exponent": exponent}
     )
 
 

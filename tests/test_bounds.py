@@ -163,7 +163,11 @@ def test_offdiag_at_origin_is_chi_wigner(grid):
     assert abs(seminorm(fn, Z, Z) - 1.0 / math.pi) < 1e-8
 
 
-def test_offdiag_unknown_variant():
+def test_offdiag_unknown_variant(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a window table was built for an unknown variant")
+
+    monkeypatch.setattr(bounds, "chi_seminorm_table", no_table)
     with pytest.raises(ValueError, match="variant"):
         offdiag_bound_rhs(vacuum_state(1), Z, Z, [0, 0], [0, 0], "snug")
 

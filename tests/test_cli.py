@@ -15,7 +15,6 @@ from phasespace.cli import (
     export_csv,
     main,
     parse_config,
-    read_csv_values,
 )
 from phasespace.transforms import quasichar
 from phasespace.verify import CSV_HEADER, VerifyReport
@@ -23,6 +22,17 @@ from phasespace.verify import CSV_HEADER, VerifyReport
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_csv_values(path):
+    """Round-trip reader for exported grid functions."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    cols = np.array(
+        [[float(cell) for cell in row] for row in rows]
+    ) if rows else np.empty((0, len(header)))
+    return header, cols
 
 
 # --- csv export --------------------------------------------------------------
@@ -450,6 +460,32 @@ def test_chi_file_with_several_components_rejected(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"--chi {path}" in err and "3 components" in err
+
+
+@pytest.mark.parametrize("source", ["demo", "state"])
+def test_state_k_outside_heavy_tail_rejected(tmp_path, capsys, source):
+    if source == "demo":
+        state_args = ["--demo", "vacuum"]
+    else:
+        path = tmp_path / "vacuum.json"
+        save_state(vacuum_state(1), path)
+        state_args = ["--state", str(path)]
+    assert run_cli("wigner", *state_args, "--K", "5", "--grid", "32,8") == 2
+    assert "--K" in capsys.readouterr().err
+
+
+def test_verify_heavy_tail_accepts_k(monkeypatch):
+    # the suite itself is stubbed: only the flag handling is under test
+    suites = []
+
+    def record_suite(state, chi, cfg, demo=None):
+        suites.append((state, demo))
+        return []
+
+    monkeypatch.setattr(cli, "run_suite", record_suite)
+    assert run_cli("verify", "--demo", "heavy-tail", "--K", "3") == 0
+    [(state, demo)] = suites
+    assert demo == "heavy_tail" and len(state.pure_states) == 3
 
 
 @pytest.mark.parametrize("k", ["0", "1", "-3", "21"])

@@ -28,7 +28,6 @@ from phasespace import (
 )
 from phasespace.states import (
     _factorial_ratio_sqrt,
-    overlap_by_quadrature,
     pure_overlap,
     quasichar_values,
 )
@@ -44,6 +43,17 @@ def kernel(rho, xs, ys):
             ps.evaluate(np.atleast_1d(ys)[..., None])
         )
     return total
+
+
+def overlap_by_quadrature(phi, psi, n_nodes=8192, half=None):
+    """<phi | psi> by rectangle quadrature on a fine 1-D lattice."""
+    if phi.n != 1 or psi.n != 1:
+        raise ValueError("quadrature overlap implemented for n=1")
+    if half is None:
+        half = max(phi.reach(), psi.reach())
+    step = 2.0 * half / n_nodes
+    ys = (-half + step * np.arange(n_nodes))[:, None]
+    return step * np.sum(np.conj(phi.evaluate(ys)) * psi.evaluate(ys))
 
 
 def test_vacuum_value_at_origin(vacuum):

@@ -292,16 +292,21 @@ def test_twisted_convolution_gaussian_oracle():
 
 
 def test_twisted_convolution_brute_force_offset():
-    # f evaluated analytically at shifted points vs the lattice route
+    # f evaluated analytically at alpha - beta and summed with the phase,
+    # against the lattice route that reads shifted samples of f
     g = Grid(2, 64, 8.0)
     f = gaussian_grid_fn(g)
     h = gaussian_grid_fn(g)
     form = 2.0 * omega_matrix(1)
     pts = g.spacing * np.array([[6, -3], [0, 5]], dtype=float) - 0.0
     lattice_vals = twisted_convolution(f, h, form, pts)
-    f_eval = lambda z: np.exp(-0.5 * (z**2).sum(-1)).astype(complex)
-    eval_vals = twisted_convolution(f, h, form, pts, f_eval=f_eval)
-    assert np.abs(lattice_vals - eval_vals).max() < 1e-12
+    xm, pm = mesh_of(g)
+    beta = np.stack([xm, pm], -1)
+    for pt, val in zip(pts, lattice_vals):
+        phase = np.exp(0.5j * (beta @ form.T) @ pt)
+        f_shifted = np.exp(-0.5 * ((pt - beta) ** 2).sum(-1))
+        exact = g.spacing**2 * (phase * f_shifted * h.values).sum()
+        assert abs(val - exact) < 1e-12
 
 
 def test_twisted_convolution_grid_matches_pointwise():
