@@ -169,19 +169,19 @@ def _add_state_flags(parser, with_chi=False):
     parser.add_argument(
         "--K", type=int, default=None, help="heavy-tail truncation (demo only)"
     )
-    parser.add_argument(
-        "--grid", default=None, help="N,L lattice: points per axis, half extent"
-    )
     parser.add_argument("--out", default=None, help="CSV output path")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="sampling seed (overrides config)"
-    )
     if with_chi:
         parser.add_argument(
             "--chi",
             default="vacuum",
             help="reference wavepacket: vacuum, fock1, or a state JSON file",
         )
+
+
+def _add_grid_flag(parser):
+    parser.add_argument(
+        "--grid", default=None, help="N,L lattice: points per axis, half extent"
+    )
 
 
 def _resolve_state(args):
@@ -235,7 +235,10 @@ def _parse_point(text, flag):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"{flag} expects x,p, got {text!r}")
-    return np.array([float(parts[0]), float(parts[1])])
+    point = np.array([float(parts[0]), float(parts[1])])
+    if not np.isfinite(point).all():
+        raise ValueError(f"{flag} coordinates must be finite, got {text!r}")
+    return point
 
 
 def _parse_index(text, flag):
@@ -334,7 +337,7 @@ def _cmd_verify(args):
     chi = _resolve_chi(args)
     cfg = parse_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        _, cfg.seed = _config_value("seed", args.seed, "--seed")
     if args.grid is not None:
         cfg.grid_n, cfg.grid_l = _parse_grid(args.grid)
     reports = run_suite(state, chi, cfg, demo=demo)
@@ -387,6 +390,7 @@ def build_parser():
     for which in ("wigner", "quasichar", "husimi"):
         sp = sub.add_parser(which, help=f"compute the {which} representation")
         _add_state_flags(sp, with_chi=(which == "husimi"))
+        _add_grid_flag(sp)
         sp.set_defaults(func=lambda a, w=which: _cmd_transform(a, w))
 
     sp = sub.add_parser("matel", help="matrix element in the coherent family")
@@ -397,6 +401,7 @@ def build_parser():
 
     sp = sub.add_parser("seminorm", help="weighted sup-seminorm of a representation")
     _add_state_flags(sp, with_chi=True)
+    _add_grid_flag(sp)
     sp.add_argument("--a", required=True, help="decay multi-index, e.g. 1,0")
     sp.add_argument("--b", required=True, help="derivative multi-index")
     sp.add_argument(
@@ -408,6 +413,7 @@ def build_parser():
 
     sp = sub.add_parser("bound-check", help="decay-bound sweep over (a, b)")
     _add_state_flags(sp, with_chi=True)
+    _add_grid_flag(sp)
     sp.add_argument("--order-cap", type=int, default=4,
                     help="max |a|+|b| in the sweep")
     sp.add_argument("--variant", choices=("theorem", "husimi", "both"),
@@ -416,6 +422,10 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run the identity-check suite")
     _add_state_flags(sp, with_chi=True)
+    _add_grid_flag(sp)
+    sp.add_argument(
+        "--seed", type=int, default=None, help="sampling seed (overrides config)"
+    )
     sp.add_argument("--config", default=None, help="key = value config file")
     sp.set_defaults(func=_cmd_verify)
 

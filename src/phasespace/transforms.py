@@ -23,35 +23,41 @@ def _mesh(axis, n):
     return np.stack(pts, axis=-1).reshape(-1, n)
 
 
-def _rep_on_grid(rho, grid, rep):
-    """Shared Wigner/quasicharacteristic partial transform.
+def _rep_on_grid(rho, rows, momenta, lattice, rep):
+    """Shared Wigner/quasicharacteristic partial transform on a product set.
 
-    wigner rows r: integral over y of e^{i p.y} K(r - y/2, r + y/2),
-    quasichar rows r: integral over u of e^{i p.u} K(u - r/2, u + r/2).
+    For r in rows^n, p in momenta^n and y over the n-fold product of the
+    1-D rectangle lattice (spacing h):
+    wigner rows r: sum over y of h^n e^{i p.y} K(r - y/2, r + y/2),
+    quasichar rows r: sum over u of h^n e^{i p.u} K(u - r/2, u + r/2).
+    Returns shape (len(rows),) * n + (len(momenta),) * n.
     """
-    n = grid.dim // 2
-    axis = grid.axis()
-    h = grid.spacing
-    # integration lattice: 2N nodes with the grid spacing on [-2L, 2L)
-    aux = Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config").axis()
-    rows = _mesh(axis, n)
+    n = rho.n
+    aux = lattice.axis()
+    row_pts = _mesh(rows, n)
     nodes = _mesh(aux, n)
-    kernel_mat = h * np.exp(1j * np.outer(axis, aux))
-    out = np.empty((rows.shape[0],) + (grid.n_points,) * n, dtype=complex)
-    chunk = max(1, 4_000_000 // nodes.shape[0])
-    for start in range(0, rows.shape[0], chunk):
-        r = rows[start : start + chunk, None, :]
+    kernel_mat = lattice.spacing * np.exp(1j * np.outer(momenta, aux))
+    out = np.empty((row_pts.shape[0],) + (momenta.size,) * n, dtype=complex)
+    # about 1M kernel values (16 MB) per chunk: a larger block raises the
+    # peak memory of the pointwise callers without saving time
+    chunk = max(1, 1_000_000 // nodes.shape[0])
+    for start in range(0, row_pts.shape[0], chunk):
+        r = row_pts[start : start + chunk, None, :]
         y = nodes[None, :, :]
-        if rep == "wigner":
-            kv = rho.kernel(r - 0.5 * y, r + 0.5 * y)
-        else:
-            kv = rho.kernel(y - 0.5 * r, y + 0.5 * r)
+        mid, offset = (r, y) if rep == "wigner" else (y, r)
+        kv = rho.kernel(mid - 0.5 * offset, mid + 0.5 * offset)
         kv = kv.reshape((r.shape[0],) + (aux.size,) * n)
         for _ in range(n):
-            # transform the leading node axis against the momentum lattice
+            # transform the leading node axis against the momenta
             kv = np.tensordot(kv, kernel_mat, axes=(1, 1))
         out[start : start + chunk] = kv
-    return out.reshape((grid.n_points,) * (2 * n))
+    return out.reshape((rows.size,) * n + (momenta.size,) * n)
+
+
+def _aux_grid_lattice(grid):
+    """Integration lattice of the grid transforms: 2N nodes with the grid
+    spacing on [-2L, 2L)."""
+    return Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config")
 
 
 def wigner(state, grid, reality_tol=1e-10):
@@ -59,7 +65,9 @@ def wigner(state, grid, reality_tol=1e-10):
     rho = as_mixed(state)
     if grid.kind != "phase" or grid.dim != 2 * rho.n:
         raise ValueError("grid must be phase-space with dim 2n")
-    vals = _rep_on_grid(rho, grid, "wigner") / (2.0 * np.pi) ** rho.n
+    axis = grid.axis()
+    vals = _rep_on_grid(rho, axis, axis, _aux_grid_lattice(grid), "wigner")
+    vals = vals / (2.0 * np.pi) ** rho.n
     tol = reality_tol if rho.is_analytic else max(reality_tol, 0.05)
     resid = np.abs(vals.imag).max()
     if resid > tol * max(1.0, np.abs(vals.real).max()):
@@ -74,7 +82,8 @@ def quasichar(state, grid, cross_check=True):
     rho = as_mixed(state)
     if grid.kind != "phase" or grid.dim != 2 * rho.n:
         raise ValueError("grid must be phase-space with dim 2n")
-    vals = _rep_on_grid(rho, grid, "quasichar")
+    axis = grid.axis()
+    vals = _rep_on_grid(rho, axis, axis, _aux_grid_lattice(grid), "quasichar")
     fn = PhaseSpaceFn(grid, vals, "quasichar")
     if cross_check:
         dual = symplectic_fourier(wigner(state, grid), "inverse")
@@ -231,44 +240,25 @@ class MatelSampler:
         )
 
 
-def wigner_pointwise(state, points, n_nodes=4096, y_half=None):
-    """Direct quadrature of the Wigner integral at arbitrary points (n=1).
+def wigner_pointwise(state, xs, ps, n_nodes=4096, y_half=None):
+    """Wigner function on the product set xs x ps by direct quadrature (n=1).
 
-    The points are stable-sorted by x before chunking, so equal x share a
-    chunk whatever the input order.  Within each chunk the kernel row is
-    evaluated once per distinct x and the phase row once per distinct p;
-    each point reads both through the inverse indices, so a product set
-    xs × ps costs about |xs| kernel rows.
+    The grid `wigner` transform with rows xs, momenta ps and an n_nodes
+    rectangle lattice on [-y_half, y_half), so the kernel is evaluated once
+    per x; returns shape (len(xs), len(ps)).
     """
     rho = as_mixed(state)
     if rho.n != 1:
         raise ValueError("pointwise Wigner implemented for n=1")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0 or pts.shape[-1] != 2:
-        raise ValueError(
-            f"points must have a last axis of length 2 (x, p), got shape {pts.shape}"
-        )
-    flat = pts.reshape(-1, 2)
-    order = np.argsort(flat[:, 0], kind="stable")
-    flat = flat[order]
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    for name, axis in (("xs", xs), ("ps", ps)):
+        if axis.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {axis.shape}")
     if y_half is None:
         y_half = 2.0 * rho.reach() + 2.0
     lattice = Grid(1, n_nodes, y_half, kind="config")
-    ys, step = lattice.axis(), lattice.spacing
-    out = np.empty(flat.shape[0], dtype=complex)
-    chunk = max(1, 2_000_000 // n_nodes)
-    for start in range(0, flat.shape[0], chunk):
-        blk = flat[start : start + chunk]
-        rows = order[start : start + chunk]
-        x, x_of = np.unique(blk[:, 0], return_inverse=True)
-        p, p_of = np.unique(blk[:, 1], return_inverse=True)
-        x, p = x[:, None], p[:, None]
-        kv = rho.kernel(
-            (x - 0.5 * ys[None, :])[..., None], (x + 0.5 * ys[None, :])[..., None]
-        )
-        phase = np.exp(1j * p * ys[None, :])
-        out[rows] = step / (2.0 * np.pi) * (phase[p_of] * kv[x_of]).sum(1)
-    return out.reshape(pts.shape[:-1])
+    return _rep_on_grid(rho, xs, ps, lattice, "wigner") / (2.0 * np.pi)
 
 
 def gaussian_atom_params(chi):

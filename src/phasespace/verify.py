@@ -456,9 +456,7 @@ def check_marginal_pointwise(state, tol=None, seed=0, p_max=10.0, n_p=41, step=0
     reach = rho.reach()
     xs = -reach + step * (np.arange(int(round(2 * reach / step))) + 0.5)
     ps = np.linspace(-p_max, p_max, n_p)
-    pts = np.stack(np.meshgrid(xs, ps, indexing="ij"), -1)
-    w_vals = wigner_pointwise(rho, pts.reshape(-1, 2)).real.reshape(xs.size, ps.size)
-    marg = step * w_vals.sum(axis=0)
+    marg = step * wigner_pointwise(rho, xs, ps).real.sum(axis=0)
     dens = np.zeros_like(marg)
     for w, ps_state in zip(rho.weights, rho.pure_states):
         dens += w * momentum_density(ps_state, ps, n_nodes=32768)
@@ -573,8 +571,7 @@ def plateau_decay_exponent():
     rho = demo_state("plateau")
     ps = np.geomspace(PLATEAU_P_LO, PLATEAU_P_HI, PLATEAU_N_P)
     xs = np.linspace(0.0025, 0.9975, 401)
-    pts = np.stack(np.meshgrid(xs, ps, indexing="ij"), -1)
-    sups = np.abs(wigner_pointwise(rho, pts).real).max(axis=0)
+    sups = np.abs(wigner_pointwise(rho, xs, ps).real).max(axis=0)
     slope = np.polyfit(np.log(ps), np.log(sups), 1)[0]
     return float(-slope)
 

@@ -504,3 +504,66 @@ def test_demo_k_range_ends_accepted(capsys):
     for k in ("2", "20"):
         assert run_cli("demo", "--which", "heavy-tail", "--K", k) == 0
     assert "K=20:" in capsys.readouterr().out
+
+
+# --- each flag only where it is read ---------------------------------------------
+
+
+STATE_COMMANDS = {
+    "wigner": [],
+    "quasichar": [],
+    "husimi": [],
+    "matel": ["--alpha", "0,0", "--beta", "0,0"],
+    "seminorm": ["--a", "0", "--b", "0"],
+    "bound-check": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STATE_COMMANDS))
+def test_seed_only_on_verify(no_transforms, capsys, command):
+    argv = [command, "--demo", "vacuum", *STATE_COMMANDS[command], "--seed", "5"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+def test_matel_takes_no_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("matel", "--demo", "vacuum", *STATE_COMMANDS["matel"], "--grid", "32,8")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 32,8" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_rejected(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", _fake_suite([], seen))
+    assert run_cli("verify", "--demo", "vacuum", "--seed", "-3") == 2
+    assert seen == []
+    err = capsys.readouterr().err
+    assert "--seed" in err and "seed must be >= 0: -3" in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("point", ["nan,0", "0,inf", "-inf,1"])
+def test_matel_non_finite_point_rejected(monkeypatch, capsys, flag, point):
+    def no_matel(*args, **kwargs):
+        raise AssertionError("matel ran on a non-finite point")
+
+    monkeypatch.setattr(cli, "matel", no_matel)
+    labels = {"--alpha": "0,0", "--beta": "0,0", flag: point}
+    argv = ["matel", "--demo", "vacuum"]
+    # "--beta=-inf,1": a separate "-inf,1" would parse as an option
+    argv += [f"{name}={value}" for name, value in labels.items()]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err and point in err
+
+
+def test_verify_plateau_end_to_end(capsys):
+    assert run_cli("verify", "--demo", "plateau") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == CSV_HEADER and lines[-1] == "verify: all checks pass"
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [row[0] for row in rows] == ["marginal-pointwise", "plateau-decay"]
+    assert all(row[CSV_HEADER.split(",").index("passed")] == "1" for row in rows)

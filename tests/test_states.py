@@ -280,10 +280,11 @@ def lattice_points(grid):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_wigner_values_match_pointwise_quadrature(seed):
     rho = random_mixture(np.random.default_rng(seed))
-    pts = np.random.default_rng(100 + seed).uniform(-3.0, 3.0, (40, 2))
-    closed = wigner_values(rho, pts)
-    assert closed.shape == (40,)
-    assert np.abs(closed - wigner_pointwise(rho, pts).real).max() < 1e-13
+    rng = np.random.default_rng(100 + seed)
+    xs, ps = rng.uniform(-3.0, 3.0, 8), rng.uniform(-3.0, 3.0, 5)
+    closed = wigner_values(rho, np.stack(np.meshgrid(xs, ps, indexing="ij"), -1))
+    assert closed.shape == (8, 5)
+    assert np.abs(closed - wigner_pointwise(rho, xs, ps).real).max() < 1e-13
 
 
 def test_wigner_values_match_grid_wigner(mixture, grid):

@@ -26,6 +26,14 @@ from phasespace import (
     wigner,
     wigner_pointwise,
 )
+from phasespace.verify import (
+    PLATEAU_N_P,
+    PLATEAU_P_HI,
+    PLATEAU_P_LO,
+    plateau_decay_exponent,
+)
+
+PLATEAU_N_X = 401
 
 
 def mesh_of(grid):
@@ -400,23 +408,21 @@ def test_momentum_density_matches_closed_form():
 
 def test_wigner_pointwise_matches_grid(mixture, grid):
     w = wigner(mixture, grid)
-    idx = np.array([[128, 128], [100, 150], [140, 120]])
-    pts = -grid.half_extent + grid.spacing * idx
-    direct = wigner_pointwise(mixture, pts)
+    ix, ip = np.array([128, 100, 140]), np.array([128, 150, 120])
+    axis = grid.axis()
+    direct = wigner_pointwise(mixture, axis[ix], axis[ip])
+    assert direct.shape == (3, 3)
     assert np.abs(direct.imag).max() < 1e-10
-    grid_vals = w.values[idx[:, 0], idx[:, 1]]
-    assert np.abs(grid_vals - direct.real).max() < 1e-8
+    assert np.abs(w.values[np.ix_(ix, ip)] - direct.real).max() < 1e-8
 
 
 def test_plateau_wigner_closed_form():
     plateau = demo_state("plateau")
-    pts = np.array([[0.3, 2.0], [0.5, 5.0], [0.8, -3.0], [0.25, 0.5]])
-    vals = wigner_pointwise(plateau, pts).real
+    xs = np.array([0.3, 0.5, 0.8, 0.25])
+    ps = np.array([2.0, 5.0, -3.0, 0.5])
+    vals = wigner_pointwise(plateau, xs, ps).real
     expected = np.array(
-        [
-            np.sin(2.0 * p * min(x, 1.0 - x)) / (np.pi * p)
-            for x, p in pts
-        ]
+        [[np.sin(2.0 * p * min(x, 1.0 - x)) / (np.pi * p) for p in ps] for x in xs]
     )
     assert np.abs(vals - expected).max() < 5e-3
 
@@ -424,8 +430,7 @@ def test_plateau_wigner_closed_form():
 def test_heavy_tail_wigner_closed_form():
     rho = demo_state("heavy_tail", K=3)
     xs = np.array([0.0, 1.0, 8.0, 27.0, 14.0])
-    pts = np.stack([xs, np.zeros_like(xs)], -1)
-    vals = wigner_pointwise(rho, pts).real
+    vals = wigner_pointwise(rho, xs, [0.0]).real[:, 0]
     weights = np.array(rho.weights)
     centers = np.array([1.0, 8.0, 27.0])
     expected = np.array(
@@ -437,7 +442,52 @@ def test_heavy_tail_wigner_closed_form():
     assert np.abs(vals - expected).max() < 1e-10
 
 
-# --- pointwise quadrature: one kernel row per distinct x ------------------------
+# --- one kernel quadrature: the grid transforms and wigner_pointwise ----------------
+
+
+def parent_rep_on_grid(rho, grid, rep):
+    """The grid transforms' loop as it was before it took rows, momenta and
+    the node lattice as arguments: 4M-element chunks, lattice built inside."""
+    n = grid.dim // 2
+    axis = grid.axis()
+    h = grid.spacing
+    aux = Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config").axis()
+    rows = np.stack(np.meshgrid(*(axis,) * n, indexing="ij"), -1).reshape(-1, n)
+    nodes = np.stack(np.meshgrid(*(aux,) * n, indexing="ij"), -1).reshape(-1, n)
+    kernel_mat = h * np.exp(1j * np.outer(axis, aux))
+    out = np.empty((rows.shape[0],) + (grid.n_points,) * n, dtype=complex)
+    chunk = max(1, 4_000_000 // nodes.shape[0])
+    for start in range(0, rows.shape[0], chunk):
+        r = rows[start : start + chunk, None, :]
+        y = nodes[None, :, :]
+        if rep == "wigner":
+            kv = rho.kernel(r - 0.5 * y, r + 0.5 * y)
+        else:
+            kv = rho.kernel(y - 0.5 * r, y + 0.5 * r)
+        kv = kv.reshape((r.shape[0],) + (aux.size,) * n)
+        for _ in range(n):
+            kv = np.tensordot(kv, kernel_mat, axes=(1, 1))
+        out[start : start + chunk] = kv
+    return out.reshape((grid.n_points,) * (2 * n))
+
+
+def grid_transform_case(name):
+    if name == "fock1":
+        return fock_state(1), Grid(2, 256, 12.0)
+    if name == "mixture":
+        return random_mixture(np.random.default_rng(3)), Grid(2, 256, 12.0)
+    rng = np.random.default_rng(5)
+    return random_mixture(rng, n=2, max_order=2, disp=0.8), Grid(4, 16, 6.0)
+
+
+@pytest.mark.parametrize("case", ["fock1", "mixture", "two-mode"])
+def test_grid_transforms_equal_parent_loop(case):
+    state, grid = grid_transform_case(case)
+    rho = as_mixed(state)
+    old_w = parent_rep_on_grid(rho, grid, "wigner") / (2.0 * np.pi) ** rho.n
+    assert np.array_equal(wigner(state, grid).values, old_w.real)
+    old_q = parent_rep_on_grid(rho, grid, "quasichar")
+    assert np.array_equal(quasichar(state, grid, cross_check=False).values, old_q)
 
 
 def wigner_pointwise_per_point(state, points, n_nodes=4096, y_half=None):
@@ -463,46 +513,36 @@ def wigner_pointwise_per_point(state, points, n_nodes=4096, y_half=None):
     return out
 
 
-def plateau_demo_points(indexing):
-    """The 401 x 13 product set of `plateau_decay_exponent`."""
-    xs = np.linspace(0.0025, 0.9975, 401)
-    ps = np.geomspace(4.0, 10.0, 13)
-    return np.stack(np.meshgrid(xs, ps, indexing=indexing), -1).reshape(-1, 2)
-
-
 def pointwise_case(name):
-    """(state, points, quadrature kwargs) for the per-point equality tests."""
-    if name in ("plateau-ij", "plateau-xy"):
-        return demo_state("plateau"), plateau_demo_points(name[-2:]), {}
+    """(state, xs, ps, quadrature kwargs) for the per-point oracle tests."""
+    if name == "plateau":
+        # the product set of `plateau_decay_exponent`
+        xs = np.linspace(0.0025, 0.9975, PLATEAU_N_X)
+        ps = np.geomspace(PLATEAU_P_LO, PLATEAU_P_HI, PLATEAU_N_P)
+        return demo_state("plateau"), xs, ps, {}
     if name == "scattered-mixture":
-        # three chunks of at most 488 points, every x and p distinct
+        # unsorted axes, every x and p distinct
         rng = np.random.default_rng(909)
-        return random_mixture(rng, n_atoms=1), rng.uniform(-4.0, 4.0, (1000, 2)), {}
+        return (random_mixture(rng, n_atoms=1), rng.uniform(-4.0, 4.0, 40),
+                rng.uniform(-4.0, 4.0, 25), {})
     if name == "vacuum-repeated-p":
-        xs = np.linspace(-3.0, 3.0, 40)
-        ps = np.tile([0.5, -1.25, 0.0, 2.0], 10)
-        return vacuum_state(1), np.stack([xs, ps], -1), {}
+        return vacuum_state(1), np.linspace(-3.0, 3.0, 40), [0.5, -1.25, 0.0, 2.0, 0.5], {}
     rng = np.random.default_rng(910)
     kwargs = {"n_nodes": 512, "y_half": 20.0}
-    return random_mixture(rng), rng.uniform(-3.0, 3.0, (25, 2)), kwargs
+    return random_mixture(rng), rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 5), kwargs
 
 
 @pytest.mark.parametrize(
-    "case",
-    [
-        "plateau-ij",
-        "plateau-xy",
-        "scattered-mixture",
-        "vacuum-repeated-p",
-        "explicit-nodes",
-    ],
+    "case", ["plateau", "scattered-mixture", "vacuum-repeated-p", "explicit-nodes"]
 )
 def test_wigner_pointwise_equals_per_point(case):
-    state, pts, kwargs = pointwise_case(case)
-    assert np.array_equal(
-        wigner_pointwise(state, pts, **kwargs),
-        wigner_pointwise_per_point(state, pts, **kwargs),
-    )
+    # the quadrature is a GEMM against the phase matrix now, so the sum order
+    # differs from the per-point loop: equal within rounding, not bitwise
+    state, xs, ps, kwargs = pointwise_case(case)
+    xs, ps = np.asarray(xs), np.asarray(ps)
+    mesh = np.stack(np.meshgrid(xs, ps, indexing="ij"), -1)
+    oracle = wigner_pointwise_per_point(state, mesh, **kwargs).reshape(xs.size, ps.size)
+    assert np.abs(wigner_pointwise(state, xs, ps, **kwargs) - oracle).max() <= 1e-15
 
 
 def test_wigner_pointwise_kernel_points_per_distinct_x(monkeypatch):
@@ -515,14 +555,9 @@ def test_wigner_pointwise_kernel_points_per_distinct_x(monkeypatch):
         return vals
 
     monkeypatch.setattr(MixedState, "kernel", counting_kernel)
-    for indexing in ("ij", "xy"):
-        seen.clear()
-        wigner_pointwise(demo_state("plateau"), plateau_demo_points(indexing))
-        # the points are sorted by x first, so either order gives 11 chunks of
-        # 488 points: 401 distinct x plus one x split by each of the 10 chunk
-        # boundaries, one row of 4096 nodes each (not 5213 rows)
-        assert len(seen) == 11, indexing
-        assert sum(seen) == 411 * 4096 == 1_683_456, indexing
+    plateau_decay_exponent()
+    # one row of 4096 nodes per distinct x, not per (x, p) point
+    assert sum(seen) == PLATEAU_N_X * 4096 == 1_642_496
 
 
 def test_wigner_pointwise_rejects_malformed_points(monkeypatch):
@@ -530,9 +565,14 @@ def test_wigner_pointwise_rejects_malformed_points(monkeypatch):
         raise AssertionError("kernel evaluated for malformed points")
 
     monkeypatch.setattr(MixedState, "kernel", no_kernel)
-    with pytest.raises(ValueError, match=r"points must have a last axis of length 2"):
-        wigner_pointwise(vacuum_state(1), np.zeros((4, 3)))
+    vac = vacuum_state(1)
+    with pytest.raises(ValueError, match=r"xs must be 1-D, got shape \(4, 2\)"):
+        wigner_pointwise(vac, np.zeros((4, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match=r"xs must be 1-D, got shape \(\)"):
+        wigner_pointwise(vac, 0.0, np.zeros(3))
+    with pytest.raises(ValueError, match=r"ps must be 1-D, got shape \(3, 1\)"):
+        wigner_pointwise(vac, np.zeros(4), np.zeros((3, 1)))
     monkeypatch.undo()
-    single = wigner_pointwise(vacuum_state(1), np.array([0.0, 0.0]))
-    assert single.shape == () and abs(single.real - 1.0 / np.pi) < 1e-10
-    assert wigner_pointwise(vacuum_state(1), np.zeros((0, 2))).shape == (0,)
+    single = wigner_pointwise(vac, [0.0], [0.0])
+    assert single.shape == (1, 1) and abs(single[0, 0].real - 1.0 / np.pi) < 1e-10
+    assert wigner_pointwise(vac, np.zeros(0), [0.0, 1.0]).shape == (0, 2)

@@ -330,8 +330,7 @@ def test_heavy_tail_large_k_against_quadrature_oracle():
         center, width = float(k**3), 0.5
         for _ in range(2):
             xs = center + np.linspace(-width, width, 101)
-            pts = np.stack([xs, np.zeros_like(xs)], -1)
-            vals = np.abs(xs * wigner_pointwise(rho, pts, y_half=20.0).real)
+            vals = np.abs(xs * wigner_pointwise(rho, xs, [0.0], y_half=20.0).real[:, 0])
             center, width = float(xs[np.argmax(vals)]), 0.02 * width
         oracle = float(vals.max())
         assert abs(values[k - 1] - oracle) <= 1e-7 * oracle, k
