@@ -47,30 +47,36 @@ class RunConfig:
 
 
 def _config_value(key, value, where):
+    def number(kind):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from None
+
     if key == "grid.N":
-        n_pts = int(value)
+        n_pts = number(int)
         if not (8 <= n_pts <= 65536):
             raise ValueError(f"{where}: grid.N out of range [8, 65536]: {n_pts}")
         if n_pts & (n_pts - 1):
             raise ValueError(f"{where}: grid.N must be a power of two: {n_pts}")
         return "grid_n", n_pts
     if key == "grid.L":
-        half = float(value)
+        half = number(float)
         if not (0.0 < half <= 1e4):
             raise ValueError(f"{where}: grid.L out of range (0, 1e4]: {half}")
         return "grid_l", half
     if key == "seed":
-        seed = int(value)
+        seed = number(int)
         if seed < 0:
             raise ValueError(f"{where}: seed must be >= 0: {seed}")
         return "seed", seed
     if key == "band":
-        band = float(value)
+        band = number(float)
         if not (0.0 <= band < 0.5):
             raise ValueError(f"{where}: band out of range [0, 0.5): {band}")
         return "band", band
     if key == "threads":
-        n_workers = int(value)
+        n_workers = number(int)
         if n_workers < 0:
             raise ValueError(f"{where}: threads must be >= 0: {n_workers}")
         return "threads", n_workers
@@ -80,7 +86,7 @@ def _config_value(key, value, where):
         name = key[4:]
         if name not in DEFAULT_TOLERANCES:
             raise ValueError(f"{where}: unknown check in config key {key!r}")
-        tol = float(value)
+        tol = number(float)
         if tol <= 0:
             raise ValueError(f"{where}: tolerance must be positive: {tol}")
         return ("tol", name), tol
@@ -98,13 +104,7 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            where = f"{path}:{lineno}"
-            try:
-                slot, parsed = _config_value(key, value, where)
-            except ValueError as exc:
-                if str(exc).startswith(where):
-                    raise
-                raise ValueError(f"{where}: bad value for {key!r}: {value!r}")
+            slot, parsed = _config_value(key, value, f"{path}:{lineno}")
             if isinstance(slot, tuple):
                 cfg.tolerances[slot[1]] = parsed
             else:
@@ -232,10 +232,11 @@ def _representation(which, state, grid, args):
 
 
 def _parse_point(text, flag):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects x,p, got {text!r}")
-    point = np.array([float(parts[0]), float(parts[1])])
+    try:
+        x, p = text.split(",")
+        point = np.array([float(x), float(p)])
+    except ValueError:
+        raise ValueError(f"{flag} expects x,p, got {text!r}") from None
     if not np.isfinite(point).all():
         raise ValueError(f"{flag} coordinates must be finite, got {text!r}")
     return point

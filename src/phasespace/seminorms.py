@@ -5,7 +5,7 @@ Grid suprema are sharpened past lattice resolution with the trigonometric
 interpolant of the sampled array (exact for band-limited data, spectrally
 accurate for box-contained smooth functions), zooming a small window
 around the lattice argmax.  Analytic-state suprema zoom on the closed
-form directly.
+form directly, all through one lattice-then-window search (`_zoom_max`).
 """
 
 from dataclasses import dataclass
@@ -85,6 +85,28 @@ def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
         best = np.where(better, peak, best)
         centers[better] = np.stack([pts[rows, 0, i], pts[rows, 1, j]], -1)[better]
         half /= ZOOM_SHRINK
+    return best
+
+
+def _zoom_max(values_on, lattice, width, n_local, rounds=ZOOM_ROUNDS):
+    """Max of values_on (one 1-D array per axis -> values on their product
+    set) on the lattice axes, then on `rounds` windows of n_local points
+    per axis, +-width about the best point so far and kept only if strictly
+    greater; width shrinks by ZOOM_SHRINK after every window."""
+
+    def peak(axes):
+        vals = values_on(*axes)
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return float(vals[idx]), [float(axis[i]) for axis, i in zip(axes, idx)]
+
+    best, centers = peak(lattice)
+    for _ in range(rounds):
+        value, point = peak(
+            [np.linspace(c - width, c + width, n_local) for c in centers]
+        )
+        if value > best:
+            best, centers = value, point
+        width /= ZOOM_SHRINK
     return best
 
 
@@ -204,19 +226,7 @@ def joint_seminorm(states, a, b):
 
     half = max(ps.reach() for ps in states) + order(a) + order(b)
     xs = np.linspace(-half, half, 4096)
-    vals = sq_sum(xs)
-    best = float(vals.max())
-    center = float(xs[int(np.argmax(vals))])
-    width = float(xs[1] - xs[0])
-    for _ in range(ZOOM_ROUNDS):
-        local = np.linspace(center - width, center + width, 33)
-        vals = sq_sum(local)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            center = float(local[i])
-        width /= ZOOM_SHRINK
-    return float(np.sqrt(best))
+    return float(np.sqrt(_zoom_max(sq_sum, [xs], xs[1] - xs[0], 33)))
 
 
 def scaled_components(state):
@@ -243,24 +253,13 @@ def kernel_seminorm(state, a, b, c, d):
     left = [ps.weighted_derivative(a, b) for ps in rho.pure_states]
     right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
 
-    def sup_on(xs, ys):
+    def values_on(xs, ys):
         fx = np.stack([_line_values(f, xs) for f in left])
         gy = np.stack([_line_values(g, ys) for g in right])
-        mat = np.abs((lam * fx).T @ np.conj(gy))
-        i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
-        return float(mat[i, j]), float(xs[i]), float(ys[j])
+        return np.abs((lam * fx).T @ np.conj(gy))
 
     xs = np.linspace(-half, half, 1024)
-    best, cx, cy = sup_on(xs, xs)
-    width = float(xs[1] - xs[0])
-    for _ in range(ZOOM_ROUNDS):
-        lx = np.linspace(cx - width, cx + width, 17)
-        ly = np.linspace(cy - width, cy + width, 17)
-        val, px, py = sup_on(lx, ly)
-        if val > best:
-            best, cx, cy = val, px, py
-        width /= ZOOM_SHRINK
-    return best
+    return _zoom_max(values_on, [xs, xs], xs[1] - xs[0], 17)
 
 
 # ---------------------------------------------------------------------------

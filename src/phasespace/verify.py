@@ -27,6 +27,7 @@ from .grid import (
     symplectic_fourier,
 )
 from .multiindex import as_index, binom, box, order, sub
+from .seminorms import _zoom_max
 from .states import (
     as_mixed,
     demo_state,
@@ -70,6 +71,9 @@ FOUR_D_NODES = 48
 
 # the twisted-expansion check runs on its own small grid, whatever the suite's
 TWISTED_GRID = Grid(2, 64, 8.0)
+
+# a state fits a box of half width L when its extent plus this margin is <= L
+BOX_MARGIN = 6.0
 
 PLATEAU_P_LO = 4.0
 PLATEAU_P_HI = 10.0
@@ -117,7 +121,7 @@ def _context(state, chi=None, grid=None):
 def suggest_grid(state, base_n=DEFAULT_N, base_l=DEFAULT_L):
     """Grid containing the state: default box unless its extent is larger."""
     rho = as_mixed(state)
-    need = rho.extent() + 6.0
+    need = rho.extent() + BOX_MARGIN
     if not np.isfinite(need) or need <= base_l:
         return Grid(2 * rho.n, base_n, base_l)
     half = 4.0 * np.ceil(need / 4.0)
@@ -280,7 +284,7 @@ def check_reproducing(state, chi=None, samples=None, tol=None, seed=0):
     rng = np.random.default_rng(seed)
     if samples is None:
         samples = list(rng.uniform(-1.5, 1.5, (10, 2, 2)))
-    spacing, half = 0.5, 12.0  # 48 x 48 resolution nodes on the default box
+    spacing, half = 0.5, DEFAULT_L  # 48 x 48 resolution nodes on the default box
     n_nodes = int(round(2.0 * half / spacing))
     axis = -half + spacing * np.arange(n_nodes)
     mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
@@ -443,7 +447,7 @@ def check_marginal(state, grid=None, tol=None, seed=0):
     return _report("marginal", resid, tol, p_axis.size, grid, seed)
 
 
-def check_marginal_pointwise(state, tol=None, seed=0, p_max=10.0, n_p=41, step=0.005):
+def check_marginal_pointwise(state, tol=None, seed=0):
     """Marginal via direct pointwise Wigner quadrature (non-smooth states).
 
     The x-quadrature uses midpoint cells aligned to half-integers so
@@ -453,9 +457,9 @@ def check_marginal_pointwise(state, tol=None, seed=0, p_max=10.0, n_p=41, step=0
     rho = _context(state).rho
     if rho.n != 1:
         raise ValueError("marginal check implemented for n=1")
-    reach = rho.reach()
+    reach, step = rho.reach(), 0.005
     xs = -reach + step * (np.arange(int(round(2 * reach / step))) + 0.5)
-    ps = np.linspace(-p_max, p_max, n_p)
+    ps = np.linspace(-10.0, 10.0, 41)
     marg = step * wigner_pointwise(rho, xs, ps).real.sum(axis=0)
     dens = np.zeros_like(marg)
     for w, ps_state in zip(rho.weights, rho.pure_states):
@@ -537,21 +541,12 @@ def heavy_tail_first_seminorms(k_max=6):
         near = np.zeros(xs.shape, dtype=bool)
         for j in range(1, k + 1):
             near |= np.abs(xs - float(j**3)) <= 4.0
-        xs = xs[near]
-        pts = np.stack([xs, np.zeros_like(xs)], -1)
-        vals = np.abs(xs * wigner_values(rho, pts))
-        i = int(np.argmax(vals))
-        best, center = float(vals[i]), float(xs[i])
-        width = sweep_step
-        for _ in range(5):
-            local = np.linspace(center - width, center + width, 17)
-            local_pts = np.stack([local, np.zeros_like(local)], -1)
-            lv = np.abs(local * wigner_values(rho, local_pts))
-            j = int(np.argmax(lv))
-            if lv[j] > best:
-                best, center = float(lv[j]), float(local[j])
-            width /= 3.0
-        values.append(best)
+
+        def values_on(xs):
+            pts = np.stack([xs, np.zeros_like(xs)], -1)
+            return np.abs(xs * wigner_values(rho, pts))
+
+        values.append(_zoom_max(values_on, [xs[near]], sweep_step, 17, rounds=5))
     return values
 
 
@@ -608,7 +603,8 @@ def suite_plan(state, demo=None):
     if not rho.is_analytic:
         return ["marginal-pointwise", "plateau-decay"]
     plan = ["duality", "trace", "husimi", "cauchy-schwarz", "marginal"]
-    if rho.extent() + 6.0 <= 12.0:
+    # several checks below run on fixed lattices of about the default box
+    if rho.extent() + BOX_MARGIN <= DEFAULT_L:
         plan += [
             "overlap",
             "offdiag",

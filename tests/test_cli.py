@@ -437,6 +437,27 @@ def test_wigner_grid_flag_not_power_of_two(no_transforms, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,flag,text",
+    [
+        (["matel", "--alpha", "a,0", "--beta", "0,0"], "--alpha", "a,0"),
+        (["matel", "--alpha", "0,0", "--beta", "0,1j"], "--beta", "0,1j"),
+        (["matel", "--alpha", "0,0,0", "--beta", "0,0"], "--alpha", "0,0,0"),
+        (["wigner", "--grid", "ten,12"], "--grid", "ten"),
+        (["verify", "--grid", "64,x"], "--grid", "x"),
+        (["verify", "--grid", "64.0,8"], "--grid", "64.0"),
+    ],
+)
+def test_malformed_number_names_its_flag(
+    no_transforms, monkeypatch, capsys, argv, flag, text
+):
+    monkeypatch.setattr(cli, "matel", lambda *args: pytest.fail("matel ran"))
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: pytest.fail("verify ran"))
+    assert run_cli(argv[0], "--demo", "vacuum", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and repr(text) in err
+
+
 # --- --chi FILE and demo --K ----------------------------------------------------
 
 

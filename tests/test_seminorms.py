@@ -4,6 +4,7 @@ Every expected value here is computed in the test itself (calculus on
 the explicit densities), never read back from the module under test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,8 @@ from phasespace import (
 from phasespace.grid import DEFAULT_BAND, derivative_coefficients
 from phasespace.multiindex import box, monomial
 from phasespace.seminorms import _line_values
-from phasespace.states import random_mixture
+from phasespace.states import as_mixed, random_mixture, wigner_values
+from phasespace.verify import heavy_tail_first_seminorms
 
 Z = (0, 0)
 
@@ -370,6 +372,112 @@ def test_kernel_rejects_non_analytic():
 
     with pytest.raises(ValueError, match="analytic"):
         kernel_seminorm(demo_state("plateau"), (0,), (0,), (0,), (0,))
+
+
+# --- the shared lattice-then-window search against its three former loops --------
+# Each oracle is the search a caller ran on its own before the callers shared
+# `_zoom_max`: lattice argmax, six (heavy tail: five) windows per axis around
+# the best point, strict accept, width / 3 per window.
+
+
+def _oracle_joint(states, a, b):
+    weighted = [ps.weighted_derivative(a, b) for ps in states]
+
+    def sq_sum(xs):
+        return sum(np.abs(_line_values(g, xs)) ** 2 for g in weighted)
+
+    half = max(ps.reach() for ps in states) + sum(a) + sum(b)
+    xs = np.linspace(-half, half, 4096)
+    vals = sq_sum(xs)
+    best, center = float(vals.max()), float(xs[int(np.argmax(vals))])
+    width = float(xs[1] - xs[0])
+    for _ in range(6):
+        local = np.linspace(center - width, center + width, 33)
+        vals = sq_sum(local)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, center = float(vals[i]), float(local[i])
+        width /= 3.0
+    return float(np.sqrt(best))
+
+
+def _oracle_kernel(state, a, b, c, d):
+    rho = as_mixed(state)
+    half = rho.reach() + sum(a) + sum(b) + sum(c) + sum(d)
+    lam = np.asarray(rho.weights)[:, None]
+    left = [ps.weighted_derivative(a, b) for ps in rho.pure_states]
+    right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
+
+    def sup_on(xs, ys):
+        fx = np.stack([_line_values(f, xs) for f in left])
+        gy = np.stack([_line_values(g, ys) for g in right])
+        mat = np.abs((lam * fx).T @ np.conj(gy))
+        i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
+        return float(mat[i, j]), float(xs[i]), float(ys[j])
+
+    xs = np.linspace(-half, half, 1024)
+    best, cx, cy = sup_on(xs, xs)
+    width = float(xs[1] - xs[0])
+    for _ in range(6):
+        lx = np.linspace(cx - width, cx + width, 17)
+        ly = np.linspace(cy - width, cy + width, 17)
+        val, px, py = sup_on(lx, ly)
+        if val > best:
+            best, cx, cy = val, px, py
+        width /= 3.0
+    return best
+
+
+def _oracle_heavy_tail(k_max):
+    values = []
+    for k in range(1, k_max + 1):
+        rho = demo_state("heavy_tail", K=k)
+        xs = np.arange(-4.0, float(k**3) + 4.0, 0.05)
+        near = np.zeros(xs.shape, dtype=bool)
+        for j in range(1, k + 1):
+            near |= np.abs(xs - float(j**3)) <= 4.0
+        xs = xs[near]
+
+        def x_weighted(xs):
+            return np.abs(xs * wigner_values(rho, np.stack([xs, np.zeros_like(xs)], -1)))
+
+        vals = x_weighted(xs)
+        i = int(np.argmax(vals))
+        best, center, width = float(vals[i]), float(xs[i]), 0.05
+        for _ in range(5):
+            local = np.linspace(center - width, center + width, 17)
+            lv = x_weighted(local)
+            j = int(np.argmax(lv))
+            if lv[j] > best:
+                best, center = float(lv[j]), float(local[j])
+            width /= 3.0
+        values.append(best)
+    return values
+
+
+C12_INDICES = [(0,), (1,), (2,)]
+
+
+def test_joint_search_matches_its_former_loop(mixture):
+    comps = scaled_components(mixture)
+    for a in C12_INDICES:
+        for b in C12_INDICES:
+            assert joint_seminorm(comps, a, b) == _oracle_joint(comps, a, b)
+
+
+def test_kernel_search_matches_its_former_loop(mixture):
+    for a, b, c, d in itertools.product(C12_INDICES, repeat=4):
+        assert kernel_seminorm(mixture, a, b, c, d) == _oracle_kernel(
+            mixture, a, b, c, d
+        )
+    vac = vacuum_state(1)
+    for args in [((0,), (0,), (0,), (0,)), ((1,), (0,), (1,), (0,))]:
+        assert kernel_seminorm(vac, *args) == _oracle_kernel(vac, *args)
+    assert joint_seminorm([vac], (1,), (0,)) == _oracle_joint([vac], (1,), (0,))
+
+
+def test_heavy_tail_search_matches_its_former_loop():
+    assert heavy_tail_first_seminorms(6) == _oracle_heavy_tail(6)
 
 
 def test_weighted_components_built_once_per_call(monkeypatch):

@@ -30,7 +30,6 @@ from phasespace.verify import (
     check_heavy_tail_trend,
     check_husimi,
     check_marginal,
-    check_marginal_pointwise,
     check_offdiag,
     check_overlap,
     check_plateau_decay,
@@ -282,13 +281,6 @@ def test_marginal_vacuum_fock(grid):
 
 def test_marginal_mixture(mixture, grid):
     assert check_marginal(mixture, grid).passed
-
-
-def test_marginal_pointwise_plateau_quick():
-    report = check_marginal_pointwise(
-        demo_state("plateau"), p_max=4.0, n_p=9, step=0.01
-    )
-    assert report.residual < 5e-3
 
 
 def test_twisted_expansion(mixture):
