@@ -356,6 +356,9 @@ def _cmd_verify(args):
     if out:
         export_csv(reports, out, header=CSV_HEADER)
         print(f"wrote {out}")
+    if not reports:
+        print("verify: no checks ran")
+        return 1
     print(f"verify: {'all checks pass' if all_pass else 'CHECK FAILURES'}")
     return 0 if all_pass else 1
 

@@ -3,6 +3,9 @@
 All grid transforms evaluate state kernels analytically at the exact
 sample points (never by interpolation) and integrate with rectangle
 sums, which are spectrally accurate for box-contained smooth states.
+On a grid the kernel arguments r -/+ y/2 take about 4N distinct values
+per axis, all on the half-spacing lattice, so each component is
+evaluated once per distinct argument and the kernel is gathered by index.
 Momentum-side output is needed at the grid's own lattice, which is not
 the FFT's natural frequency lattice, so partial transforms use
 semidiscrete DFT matrices like the grid module does.
@@ -23,6 +26,53 @@ def _mesh(axis, n):
     return np.stack(pts, axis=-1).reshape(-1, n)
 
 
+def _kernel_args(r, y, rep):
+    """The two kernel arguments r -/+ y/2 (wigner) or y -/+ r/2 (quasichar)."""
+    mid, offset = (r, y) if rep == "wigner" else (y, r)
+    return mid - 0.5 * offset, mid + 0.5 * offset
+
+
+def _lattice_index(values, base, step):
+    """k with values == base + step * k exactly as floats, else None."""
+    k = np.rint((values - base) / step)
+    return k if np.array_equal(base + step * k, values) else None
+
+
+def _lattice_kernel(rho, rows, aux, step, rep):
+    """gather(x, y): K at the `_kernel_args` x, y of a block, read by index
+    from each component evaluated once on the product mesh of the step
+    lattice that spans every such argument; None for a block with an
+    argument off that lattice.  Returns None when the rows are off it."""
+    # O(len(rows)) test first, so off-lattice rows evaluate no component
+    if rows.size == 0 or _lattice_index(rows, rows.min(), step) is None:
+        return None
+    # rounding is monotone: the extreme rows and nodes give the extreme
+    # arguments, so every index of an on-lattice block lies in [0, size)
+    ends = np.stack(_kernel_args(
+        np.array([rows.min(), rows.max()])[:, None], aux[None, [0, -1]], rep
+    ))
+    base = ends.min()
+    size = int(np.rint((ends.max() - base) / step)) + 1
+    # a lattice with more points than arguments would cost more than it saves
+    if size > 2 * rows.size * aux.size:
+        return None
+    mesh = _mesh(base + step * np.arange(size), rho.n)
+    comps = [(w, ps.evaluate(mesh)) for w, ps in zip(rho.weights, rho.pure_states) if w]
+    strides = float(size) ** np.arange(rho.n - 1, -1, -1)  # flat mesh index
+
+    def gather(x, y):
+        kx, ky = _lattice_index(x, base, step), _lattice_index(y, base, step)
+        if kx is None or ky is None:
+            return None
+        at_x, at_y = (kx @ strides).astype(np.intp), (ky @ strides).astype(np.intp)
+        kv = np.zeros(at_x.shape, dtype=complex)
+        for w, vals in comps:
+            kv += w * vals[at_x] * np.conj(vals[at_y])
+        return kv
+
+    return gather
+
+
 def _rep_on_grid(rho, rows, momenta, lattice, rep):
     """Shared Wigner/quasicharacteristic partial transform on a product set.
 
@@ -30,6 +80,8 @@ def _rep_on_grid(rho, rows, momenta, lattice, rep):
     1-D rectangle lattice (spacing h):
     wigner rows r: sum over y of h^n e^{i p.y} K(r - y/2, r + y/2),
     quasichar rows r: sum over u of h^n e^{i p.u} K(u - r/2, u + r/2).
+    Blocks whose kernel arguments lie on the step-h/2 lattice sample each
+    component once per distinct argument; others sample every point.
     Returns shape (len(rows),) * n + (len(momenta),) * n.
     """
     n = rho.n
@@ -38,14 +90,16 @@ def _rep_on_grid(rho, rows, momenta, lattice, rep):
     nodes = _mesh(aux, n)
     kernel_mat = lattice.spacing * np.exp(1j * np.outer(momenta, aux))
     out = np.empty((row_pts.shape[0],) + (momenta.size,) * n, dtype=complex)
+    gather = _lattice_kernel(rho, rows, aux, 0.5 * lattice.spacing, rep)
     # about 1M kernel values (16 MB) per chunk: a larger block raises the
     # peak memory of the pointwise callers without saving time
     chunk = max(1, 1_000_000 // nodes.shape[0])
     for start in range(0, row_pts.shape[0], chunk):
         r = row_pts[start : start + chunk, None, :]
-        y = nodes[None, :, :]
-        mid, offset = (r, y) if rep == "wigner" else (y, r)
-        kv = rho.kernel(mid - 0.5 * offset, mid + 0.5 * offset)
+        x, y = _kernel_args(r, nodes[None, :, :], rep)
+        kv = None if gather is None else gather(x, y)
+        if kv is None:
+            kv = rho.kernel(x, y)
         kv = kv.reshape((r.shape[0],) + (aux.size,) * n)
         for _ in range(n):
             # transform the leading node axis against the momenta

@@ -406,10 +406,15 @@ def check_wigner_decomp(
     weights = np.asarray(rho.weights)
     w_ref = ctx.w_rho()
     points = np.asarray(points, dtype=float)
-    z = mesh[:, 0] + 1j * mesh[:, 1]
-    # K(a, b) for every node pair, exponentiated in place (one A x A array)
-    kernel = np.outer(z, -0.5 * np.conj(z))
-    np.exp(kernel, out=kernel)
+    # K(a, b) = E[x_a, x_b] E[p_a, p_b] conj(C[p_a, x_b]) C[x_a, p_b] from
+    # the 1-D tables E = e^{-uv/2}, C = e^{iuv/2}, filled into one A x A array
+    e_tab = np.exp(-0.5 * np.outer(axis, axis))
+    c_tab = np.exp(0.5j * np.outer(axis, axis))
+    kernel = np.empty((n_nodes,) * 4, dtype=complex)
+    np.multiply(e_tab[:, None, :, None], e_tab[None, :, None, :], out=kernel)
+    kernel *= np.conj(c_tab)[None, :, :, None]
+    kernel *= c_tab[:, None, None, :]
+    kernel = kernel.reshape(mesh.shape[0], mesh.shape[0])
     eta = points - center
     wedge = symplectic_form(points[:, None, :], mesh[None, :, :])
     gauss = eta @ mesh.T - 0.25 * (mesh**2).sum(-1)

@@ -304,12 +304,20 @@ def _fake_suite(reports, seen=None):
 
 def test_verify_seed_zero_overrides_config(tmp_path, monkeypatch, capsys):
     seen = []
-    monkeypatch.setattr(cli, "run_suite", _fake_suite([], seen))
+    passing = VerifyReport("duality", 1e-9, 1e-6, 10, 256, 12.0, 5)
+    monkeypatch.setattr(cli, "run_suite", _fake_suite([passing], seen))
     cfg = tmp_path / "seeded.cfg"
     cfg.write_text("seed = 5\n")
     assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg), "--seed", "0") == 0
     assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 0
     assert seen == [0, 5]
+
+
+def test_verify_empty_plan_fails(monkeypatch, capsys):
+    # all([]) is true: an empty report list must not read as a pass
+    monkeypatch.setattr(cli, "run_suite", _fake_suite([]))
+    assert run_cli("verify", "--demo", "vacuum") == 1
+    assert capsys.readouterr().out.splitlines() == [CSV_HEADER, "verify: no checks ran"]
 
 
 def test_verify_prints_failure_reasons(tmp_path, monkeypatch, capsys):
@@ -501,7 +509,7 @@ def test_verify_heavy_tail_accepts_k(monkeypatch):
 
     def record_suite(state, chi, cfg, demo=None):
         suites.append((state, demo))
-        return []
+        return [VerifyReport("trace", 1e-9, 1e-6, 1, 256, 12.0, 0)]
 
     monkeypatch.setattr(cli, "run_suite", record_suite)
     assert run_cli("verify", "--demo", "heavy-tail", "--K", "3") == 0

@@ -482,12 +482,108 @@ def grid_transform_case(name):
 
 @pytest.mark.parametrize("case", ["fock1", "mixture", "two-mode"])
 def test_grid_transforms_equal_parent_loop(case):
+    # a mixture sums components that PureState.evaluate samples on the
+    # distinct-argument lattice, not on the whole argument array, so the
+    # last bit may differ; a single component stays bitwise
     state, grid = grid_transform_case(case)
     rho = as_mixed(state)
     old_w = parent_rep_on_grid(rho, grid, "wigner") / (2.0 * np.pi) ** rho.n
-    assert np.array_equal(wigner(state, grid).values, old_w.real)
     old_q = parent_rep_on_grid(rho, grid, "quasichar")
-    assert np.array_equal(quasichar(state, grid, cross_check=False).values, old_q)
+    new_w = wigner(state, grid).values
+    new_q = quasichar(state, grid, cross_check=False).values
+    assert np.abs(new_w - old_w.real).max() <= 1e-15
+    assert np.abs(new_q - old_q).max() <= 1e-15
+    if case == "fock1":
+        assert np.array_equal(new_w, old_w.real) and np.array_equal(new_q, old_q)
+
+
+def per_point_rep_on_grid(rho, rows, momenta, lattice, rep):
+    """The chunk loop that evaluates the kernel at every (row, node) point."""
+    n = rho.n
+    aux = lattice.axis()
+    row_pts = np.stack(np.meshgrid(*(rows,) * n, indexing="ij"), -1).reshape(-1, n)
+    nodes = np.stack(np.meshgrid(*(aux,) * n, indexing="ij"), -1).reshape(-1, n)
+    kernel_mat = lattice.spacing * np.exp(1j * np.outer(momenta, aux))
+    out = np.empty((row_pts.shape[0],) + (momenta.size,) * n, dtype=complex)
+    chunk = max(1, 1_000_000 // nodes.shape[0])
+    for start in range(0, row_pts.shape[0], chunk):
+        r = row_pts[start : start + chunk, None, :]
+        y = nodes[None, :, :]
+        mid, offset = (r, y) if rep == "wigner" else (y, r)
+        kv = rho.kernel(mid - 0.5 * offset, mid + 0.5 * offset)
+        kv = kv.reshape((r.shape[0],) + (aux.size,) * n)
+        for _ in range(n):
+            kv = np.tensordot(kv, kernel_mat, axes=(1, 1))
+        out[start : start + chunk] = kv
+    return out.reshape((rows.size,) * n + (momenta.size,) * n)
+
+
+def lattice_case(name):
+    """(state, grid) for the distinct-argument sampling tests."""
+    n, grid = (2, Grid(4, 16, 6.0)) if name.startswith("two-mode") else (1, Grid(2, 256, 12.0))
+    kind = name.removeprefix("two-mode-")
+    if kind == "vacuum":
+        return vacuum_state(n), grid
+    if kind == "fock1":
+        return fock_state(1, n=n), grid
+    if kind == "plateau":
+        return demo_state("plateau"), grid
+    if kind == "non-dyadic":
+        # 12.3 is not a dyadic rational: r -/+ y/2 may miss the lattice
+        return random_mixture(np.random.default_rng(3)), Grid(2, 256, 12.3)
+    seed = {"mixture-a": 3, "mixture-b": 4}[kind]
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        return random_mixture(rng, n=2, max_order=2, disp=0.8), grid
+    return random_mixture(rng), grid
+
+
+LATTICE_CASES = ["vacuum", "fock1", "mixture-a", "mixture-b", "plateau", "non-dyadic"] + [
+    f"two-mode-{kind}" for kind in ("vacuum", "fock1", "mixture-a", "mixture-b")
+]
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES)
+def test_grid_transforms_equal_per_point_loop(case):
+    state, grid = lattice_case(case)
+    rho = as_mixed(state)
+    axis, lattice = grid.axis(), Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config")
+    old_w = per_point_rep_on_grid(rho, axis, axis, lattice, "wigner") / (2.0 * np.pi) ** rho.n
+    old_q = per_point_rep_on_grid(rho, axis, axis, lattice, "quasichar")
+    new_w = wigner(state, grid).values
+    new_q = quasichar(state, grid, cross_check=False).values
+    assert np.abs(new_w - old_w.real).max() <= 1e-15
+    assert np.abs(new_q - old_q).max() <= 1e-15
+    if case.removeprefix("two-mode-") in ("vacuum", "fock1", "plateau"):
+        assert np.array_equal(new_w, old_w.real) and np.array_equal(new_q, old_q)
+
+
+@pytest.fixture
+def evaluate_sizes(monkeypatch):
+    """Sizes of the point arrays PureState.evaluate is called on."""
+    sizes = []
+    evaluate = PureState.evaluate
+
+    def counting_evaluate(self, points):
+        vals = evaluate(self, points)
+        sizes.append(vals.size)
+        return vals
+
+    monkeypatch.setattr(PureState, "evaluate", counting_evaluate)
+    return sizes
+
+
+@pytest.mark.parametrize("rep", ["wigner", "quasichar"])
+def test_grid_transform_samples_each_distinct_argument_once(evaluate_sizes, mixture, grid, rep):
+    if rep == "wigner":
+        wigner(mixture, grid)
+    else:
+        quasichar(mixture, grid, cross_check=False)
+    # one call per component on the half-spacing lattice: 4N - 1 points for
+    # r -/+ y/2, 5N - 1 for y -/+ r/2, against N * 2N per kernel slot
+    n_pts = grid.n_points
+    assert len(evaluate_sizes) == len(mixture.pure_states)
+    assert max(evaluate_sizes) <= (4 if rep == "wigner" else 5) * n_pts
 
 
 def wigner_pointwise_per_point(state, points, n_nodes=4096, y_half=None):
@@ -576,3 +672,12 @@ def test_wigner_pointwise_rejects_malformed_points(monkeypatch):
     single = wigner_pointwise(vac, [0.0], [0.0])
     assert single.shape == (1, 1) and abs(single[0, 0].real - 1.0 / np.pi) < 1e-10
     assert wigner_pointwise(vac, np.zeros(0), [0.0, 1.0]).shape == (0, 2)
+
+
+def test_sparse_lattice_rows_sample_per_point(evaluate_sizes):
+    # both x lie on the vacuum's half-step lattice (3/512), but 2^30 steps
+    # apart: a lattice that wide would cost more than the 2 x 4096 points
+    far = 3.0 / 512 * 2**30
+    vals = wigner_pointwise(vacuum_state(1), [0.0, far], [0.0])
+    assert max(evaluate_sizes) == 2 * 4096
+    assert abs(vals[0, 0] - 1.0 / np.pi) < 1e-10 and vals[1, 0] == 0.0
