@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a check or bound failed, 2 usage, config, or
-state-file errors.  All numeric output is printed with 17 significant
-digits so identical inputs produce byte-identical files.
+Exit codes: 0 success, 1 a check, bound or grid cross-check failed, 2 usage,
+config, or state-file errors.  All numeric output is printed with 17
+significant digits so identical inputs produce byte-identical files.
 """
 
 import argparse
@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundContext
-from .grid import DEFAULT_BAND, DEFAULT_L, DEFAULT_N, Grid, PhaseSpaceFn
+from .grid import (
+    DEFAULT_BAND,
+    DEFAULT_L,
+    DEFAULT_N,
+    Grid,
+    GridResolutionError,
+    PhaseSpaceFn,
+)
 from .multiindex import as_index
 from .seminorms import SeminormReport, seminorm
 from .states import HEAVY_TAIL_MAX_K, as_mixed, demo_state, load_state
@@ -450,6 +457,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except GridResolutionError as exc:  # a cross-check of two routes failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: not found", file=sys.stderr)
         return 2

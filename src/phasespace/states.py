@@ -138,33 +138,27 @@ class PureState:
             ]
         )
 
-    def derivative(self, axis):
-        """d/dy_axis, exact: D_a(i a_p phi_m + phi_m') per atom."""
+    def _ladder(self, axis, diag, sign):
+        """D_a(diag(a) phi_m + sqrt(m/2) phi_{m-1} + sign sqrt((m+1)/2) phi_{m+1})
+        per atom: the Hermite ladder step of d/dy_axis and of y_axis."""
         out = []
         for at in self.atoms:
             m = at.m[axis]
-            ap = at.alpha[self.n + axis]
-            out.append(Atom(at.m, at.alpha, at.coeff * 1j * ap))
+            out.append(Atom(at.m, at.alpha, at.coeff * diag(at.alpha)))
             if m >= 1:
                 mm = at.m[:axis] + (m - 1,) + at.m[axis + 1 :]
                 out.append(Atom(mm, at.alpha, at.coeff * math.sqrt(m / 2.0)))
             mp = at.m[:axis] + (m + 1,) + at.m[axis + 1 :]
-            out.append(Atom(mp, at.alpha, -at.coeff * math.sqrt((m + 1) / 2.0)))
+            out.append(Atom(mp, at.alpha, sign * at.coeff * math.sqrt((m + 1) / 2.0)))
         return PureState(out)
+
+    def derivative(self, axis):
+        """d/dy_axis, exact: D_a(i a_p phi_m + phi_m') per atom."""
+        return self._ladder(axis, lambda alpha: 1j * alpha[self.n + axis], -1.0)
 
     def times_coordinate(self, axis):
         """Multiplication by y_axis, exact: D_a((y + a_x) phi_m) per atom."""
-        out = []
-        for at in self.atoms:
-            m = at.m[axis]
-            ax = at.alpha[axis]
-            out.append(Atom(at.m, at.alpha, at.coeff * ax))
-            if m >= 1:
-                mm = at.m[:axis] + (m - 1,) + at.m[axis + 1 :]
-                out.append(Atom(mm, at.alpha, at.coeff * math.sqrt(m / 2.0)))
-            mp = at.m[:axis] + (m + 1,) + at.m[axis + 1 :]
-            out.append(Atom(mp, at.alpha, at.coeff * math.sqrt((m + 1) / 2.0)))
-        return PureState(out)
+        return self._ladder(axis, lambda alpha: alpha[axis], 1.0)
 
     def weighted_derivative(self, a, b):
         """x^a d^b psi with configuration multi-indices a, b (length n)."""

@@ -183,7 +183,8 @@ def _husimi_from_wigner(w_rho, w_chi):
     conv = np.fft.fftshift(np.fft.ifftn(conv)) * h**grid.dim
     vals = (2.0 * np.pi) ** (grid.dim // 2) * conv.real
     low = vals.min()
-    if low < HUSIMI_NEGATIVITY_FLOOR:
+    # relative to max Q, as `wigner`'s reality check; absolute when max Q <= 1
+    if low < HUSIMI_NEGATIVITY_FLOOR * max(1.0, vals.max()):
         raise GridResolutionError(
             f"Husimi negativity {low:.2e} signals truncation error"
         )
@@ -197,14 +198,17 @@ def husimi(state, chi, grid):
     if not chi.is_analytic:
         raise ValueError("reference chi must be an analytic state")
     fn = _husimi_from_wigner(wigner(rho, grid), wigner(as_mixed(chi), grid))
-    pts = _interior_samples(grid)
-    direct = matel(rho, chi, pts, pts).real
-    resid = np.abs(husimi_at(fn, pts) - direct).max()
+    resid = _husimi_residual(fn, rho, chi, _interior_samples(grid))
     if resid > HUSIMI_CROSS_TOL:
         raise GridResolutionError(
             f"Husimi convolution vs direct residual {resid:.2e}"
         )
     return fn
+
+
+def _husimi_residual(fn, rho, chi, points):
+    """Worst |Q on the grid - <chi_alpha| rho |chi_alpha>| at lattice points."""
+    return np.abs(husimi_at(fn, points) - matel(rho, chi, points, points).real).max()
 
 
 def husimi_at(fn, points):
@@ -428,17 +432,22 @@ def momentum_marginal(fn):
     return fn.grid.axis(), marg
 
 
-def momentum_density(psi, p_points, n_nodes=4096):
-    """|psi_hat(p)|^2 by quadrature of the unitary Fourier transform (n=1)."""
-    if psi.n != 1:
+def momentum_density(state, p_points, n_nodes=4096):
+    """sum_j w_j |psi_j_hat(p)|^2, each by quadrature of the unitary Fourier
+    transform on a lattice spanning that component (n=1)."""
+    rho = as_mixed(state)
+    if rho.n != 1:
         raise ValueError("momentum density implemented for n=1")
-    lattice = Grid(1, n_nodes, psi.reach(), kind="config")
-    xs, step = lattice.axis(), lattice.spacing
-    vals = psi.evaluate(xs[:, None])
     p_points = np.asarray(p_points, dtype=float)
-    hat = (
-        step
-        / np.sqrt(2.0 * np.pi)
-        * np.exp(-1j * np.outer(p_points, xs)) @ vals
-    )
-    return (hat * np.conj(hat)).real
+    dens = np.zeros(p_points.shape)
+    for w, psi in zip(rho.weights, rho.pure_states):
+        lattice = Grid(1, n_nodes, psi.reach(), kind="config")
+        xs, step = lattice.axis(), lattice.spacing
+        vals = psi.evaluate(xs[:, None])
+        hat = (
+            step
+            / np.sqrt(2.0 * np.pi)
+            * np.exp(-1j * np.outer(p_points, xs)) @ vals
+        )
+        dens += w * (hat * np.conj(hat)).real
+    return dens

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundContext
+from .bounds import BoundContext, cauchy_schwarz_reports
 from .grid import (
     DEFAULT_BAND,
     DEFAULT_L,
@@ -38,6 +38,7 @@ from .states import (
     wigner_values,
 )
 from .transforms import (
+    _husimi_residual,
     gaussian_atom_params,
     husimi_at,
     matel,
@@ -132,10 +133,11 @@ def suggest_grid(state, base_n=DEFAULT_N, base_l=DEFAULT_L):
 
 
 def _report(name, residual, tol, samples, grid, seed, info=None):
+    """One check's report; tol=None reads the check's DEFAULT_TOLERANCES entry."""
     return VerifyReport(
         name,
         float(residual),
-        float(tol),
+        float(DEFAULT_TOLERANCES[name] if tol is None else tol),
         int(samples),
         grid.n_points if grid is not None else 0,
         float(grid.half_extent) if grid is not None else 0.0,
@@ -152,7 +154,6 @@ def check_duality(state, grid=None, tol=None, seed=0):
     """wigner(rho) against the symplectic Fourier transform of quasichar."""
     ctx = _context(state, grid=grid)
     grid = ctx.grid
-    tol = DEFAULT_TOLERANCES["duality"] if tol is None else tol
     w_fn = ctx.w_rho()
     x_fn = quasichar(ctx.rho, grid, cross_check=False)
     dual = symplectic_fourier(x_fn, "forward")
@@ -165,7 +166,6 @@ def check_trace(state, chi=None, grid=None, tol=None, seed=0):
     """quadrature(W) and (2pi)^{-n} quadrature(Q) against trace rho."""
     ctx = _context(state, chi, grid)
     grid, rho = ctx.grid, ctx.rho
-    tol = DEFAULT_TOLERANCES["trace"] if tol is None else tol
     tr = rho.trace()
     w_fn = ctx.w_rho()
     q_fn = ctx.q_rho()
@@ -181,7 +181,6 @@ def check_overlap(state, grid=None, tol=None, seed=0):
     """tr[rho eta] = (2pi)^n int W_rho W_eta for three random partner states."""
     ctx = _context(state, grid=grid)
     grid, rho = ctx.grid, ctx.rho
-    tol = DEFAULT_TOLERANCES["overlap"] if tol is None else tol
     rng = np.random.default_rng(seed)
     w_rho = ctx.w_rho()
     partners = [random_pure_state(rng) for _ in range(3)]
@@ -203,35 +202,26 @@ def check_husimi(state, chi=None, grid=None, tol=None, seed=0):
     """Convolution-route Husimi against direct matrix elements at 40 points."""
     ctx = _context(state, chi, grid)
     grid = ctx.grid
-    tol = DEFAULT_TOLERANCES["husimi"] if tol is None else tol
-    q_fn = ctx.q_rho()
     rng = np.random.default_rng(seed)
     idx = rng.integers(grid.n_points // 4, 3 * grid.n_points // 4, (40, grid.dim))
     pts = -grid.half_extent + grid.spacing * idx
-    direct = matel(ctx.rho, ctx.chi, pts, pts).real
-    grid_vals = q_fn.values[tuple(idx[:, i] for i in range(grid.dim))]
-    resid = np.abs(grid_vals - direct).max()
+    resid = _husimi_residual(ctx.q_rho(), ctx.rho, ctx.chi, pts)
     return _report("husimi", resid, tol, len(idx), grid, seed)
 
 
 def check_cauchy_schwarz(state, chi=None, tol=None, seed=0, n_pairs=1000):
-    """|M(a,b)|^2 <= Q(a)Q(b); residual is the worst constraint violation."""
-    tol = DEFAULT_TOLERANCES["cauchy-schwarz"] if tol is None else tol
+    """|M(a,b)|^2 <= Q(a)Q(b); residual is the worst constraint violation,
+    with equality required at alpha = beta on the first 20 points."""
     ctx = _context(state, chi)
-    rho, chi = ctx.rho, ctx.chi
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-2.0, 2.0, (n_pairs, 2, 2 * rho.n))
-    alphas, betas = pts[:, 0], pts[:, 1]
-    m2 = np.abs(matel(rho, chi, alphas, betas)) ** 2
-    m_aa = matel(rho, chi, alphas, alphas)
-    q_ab = m_aa.real * matel(rho, chi, betas, betas).real
-    # equality case at alpha = beta on the first 20 points
-    m2_eq = np.abs(m_aa[:20]) ** 2
-    q2 = m_aa[:20].real ** 2
+    pts = rng.uniform(-2.0, 2.0, (n_pairs, 2, 2 * ctx.rho.n))
+    pairs = np.concatenate([pts, pts[:20, [0, 0]]])
+    reports = cauchy_schwarz_reports(ctx.rho, ctx.chi, pairs)
+    m2, q_ab = np.array([(r.lhs, r.rhs) for r in reports]).reshape(-1, 2).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        violation = np.where(q_ab > 0, m2 / q_ab - 1.0, m2)
-        equality = np.where(q2 > 0, np.abs(m2_eq / q2 - 1.0), m2_eq)
-    resid = max(0.0, violation.max(initial=0.0), equality.max(initial=0.0))
+        gap = np.where(q_ab > 0, m2 / q_ab - 1.0, m2)
+    gap[n_pairs:] = np.abs(gap[n_pairs:])
+    resid = max(0.0, gap.max(initial=0.0))
     return _report("cauchy-schwarz", resid, tol, n_pairs, None, seed)
 
 
@@ -251,7 +241,6 @@ def _offdiag_direct(chi, alpha, beta, gamma):
 
 def check_offdiag(chi=None, tol=None, seed=0, n_triples=50):
     """Closed-form off-diagonal Wigner values against direct quadrature."""
-    tol = DEFAULT_TOLERANCES["offdiag"] if tol is None else tol
     chi = chi or vacuum_state(1)
     rng = np.random.default_rng(seed)
     resid = 0.0
@@ -276,7 +265,6 @@ def _coherent_overlaps(chi, fixed, mesh):
 
 def check_reproducing(state, chi=None, samples=None, tol=None, seed=0):
     """M(a,b) against the coherent-resolution quadrature in each slot."""
-    tol = DEFAULT_TOLERANCES["reproducing"] if tol is None else tol
     ctx = _context(state, chi)
     rho, chi = ctx.rho, ctx.chi
     if rho.n != 1:
@@ -311,28 +299,29 @@ def check_reproducing(state, chi=None, samples=None, tol=None, seed=0):
 # 4-D identity checks (n = 1)
 
 
-def _four_d_points(grid):
-    steps = np.array(
-        [[0, 0], [10, 0], [0, 10], [-10, 10], [10, 10], [-8, -4], [4, -12], [16, 8]]
-    )
-    return grid.spacing * steps
+def _four_d_lattice(state, chi, grid, points, n_nodes):
+    """(context, sample points, node axis) of a 4-D check: n = 1, at most
+    8 points (default 8 lattice points of the grid), n_nodes nodes spaced
+    FOUR_D_SPACING about the origin."""
+    ctx = _context(state, chi, grid)
+    if ctx.rho.n != 1:
+        raise ValueError("4-D checks implemented for n=1")
+    if points is None:
+        steps = [[0, 0], [10, 0], [0, 10], [-10, 10], [10, 10], [-8, -4],
+                 [4, -12], [16, 8]]
+        points = ctx.grid.spacing * np.array(steps)
+    if len(points) > 8:
+        raise ValueError("at most 8 sample points")
+    axis = FOUR_D_SPACING * (np.arange(n_nodes) - n_nodes // 2)
+    return ctx, np.asarray(points, dtype=float), axis
 
 
 def check_wigner_from_matel(
     state, chi=None, points=None, grid=None, tol=None, seed=0, n_nodes=FOUR_D_NODES
 ):
     """W(alpha) from the doubled-phase-space matrix-element integral."""
-    tol = DEFAULT_TOLERANCES["wigner-from-matel"] if tol is None else tol
-    ctx = _context(state, chi, grid)
-    rho, chi, grid = ctx.rho, ctx.chi, ctx.grid
-    if rho.n != 1:
-        raise ValueError("4-D checks implemented for n=1")
-    if points is None:
-        points = _four_d_points(grid)
-    if len(points) > 8:
-        raise ValueError("at most 8 sample points")
-    s = FOUR_D_SPACING
-    axis = s * (np.arange(n_nodes) - n_nodes // 2)
+    ctx, points, axis = _four_d_lattice(state, chi, grid, points, n_nodes)
+    rho, chi, s = ctx.rho, ctx.chi, FOUR_D_SPACING
     half_axis = 0.5 * s * (np.arange(3 * n_nodes) - 3 * n_nodes // 2)
     u_mesh = np.stack(
         np.meshgrid(half_axis, half_axis, indexing="ij"), -1
@@ -357,14 +346,14 @@ def check_wigner_from_matel(
             g_vals[mx, mp] = s * s * (vx @ col @ vp)
     w_ref = ctx.w_rho()
     resid = 0.0
-    for pt in np.asarray(points, dtype=float):
+    for pt in points:
         wx = np.exp(1j * pt[1] * axis)
         wp = np.exp(-1j * pt[0] * axis)
         val = s * s / (2.0 * np.pi) ** 3 * (wx @ g_vals @ wp)
         ref = husimi_at(w_ref, pt)
         resid = max(resid, abs(val - ref))
     return _report(
-        "wigner-from-matel", resid, tol, len(points), grid, seed,
+        "wigner-from-matel", resid, tol, len(points), ctx.grid, seed,
         {"nodes": n_nodes, "spacing": s},
     )
 
@@ -384,49 +373,38 @@ def check_wigner_decomp(
     With M = sum_j w_j f_j conj(f_j) each point costs
     sum_j w_j (u f_j)^T K (v conj(f_j)).
     """
-    tol = DEFAULT_TOLERANCES["wigner-decomp"] if tol is None else tol
-    ctx = _context(state, chi, grid)
-    rho, chi, grid = ctx.rho, ctx.chi, ctx.grid
-    if rho.n != 1:
-        raise ValueError("4-D checks implemented for n=1")
+    ctx, points, axis = _four_d_lattice(state, chi, grid, points, n_nodes)
+    rho, chi, s = ctx.rho, ctx.chi, FOUR_D_SPACING
     window = gaussian_atom_params(chi)
     if window is None:
         raise ValueError("decomposition check needs a single-Gaussian chi")
     kappa, center = window
-    if points is None:
-        points = _four_d_points(grid)
-    if len(points) > 8:
-        raise ValueError("at most 8 sample points")
-    s = FOUR_D_SPACING
-    axis = s * (np.arange(n_nodes) - n_nodes // 2)
     mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     f_mesh = np.stack(
         [displaced_overlaps(chi, mesh, ps) for ps in rho.pure_states]
     )
     weights = np.asarray(rho.weights)
-    w_ref = ctx.w_rho()
-    points = np.asarray(points, dtype=float)
-    # K(a, b) = E[x_a, x_b] E[p_a, p_b] conj(C[p_a, x_b]) C[x_a, p_b] from
-    # the 1-D tables E = e^{-uv/2}, C = e^{iuv/2}, filled into one A x A array
-    e_tab = np.exp(-0.5 * np.outer(axis, axis))
-    c_tab = np.exp(0.5j * np.outer(axis, axis))
-    kernel = np.empty((n_nodes,) * 4, dtype=complex)
-    np.multiply(e_tab[:, None, :, None], e_tab[None, :, None, :], out=kernel)
-    kernel *= np.conj(c_tab)[None, :, :, None]
-    kernel *= c_tab[:, None, None, :]
-    kernel = kernel.reshape(mesh.shape[0], mesh.shape[0])
     eta = points - center
     wedge = symplectic_form(points[:, None, :], mesh[None, :, :])
     gauss = eta @ mesh.T - 0.25 * (mesh**2).sum(-1)
     left = np.exp(1j * wedge + gauss)[:, None, :] * f_mesh
     right = np.exp(-1j * wedge + gauss)[:, None, :] * np.conj(f_mesh)
-    left_k = (left.reshape(-1, mesh.shape[0]) @ kernel).reshape(left.shape)
+    # left @ K with K(a, b) = E[x_a, x_b] C[x_a, p_b] E[p_a, p_b] conj(C[p_a, x_b])
+    # and the 1-D tables E = e^{-uv/2}, C = e^{iuv/2}: one GEMM over x_a,
+    # then a sum over p_a, so no A x A kernel is formed
+    e_tab = np.exp(-0.5 * np.outer(axis, axis))
+    c_tab = np.exp(0.5j * np.outer(axis, axis))
+    over_x = (e_tab[:, :, None] * c_tab[:, None, :]).reshape(n_nodes, -1)
+    over_p = e_tab[:, None, :] * np.conj(c_tab)[:, :, None]
+    left_x = np.swapaxes(left.reshape(-1, n_nodes, n_nodes), 1, 2) @ over_x
+    left_k = np.einsum(
+        "qaxp,axp->qxp", left_x.reshape((-1,) + (n_nodes,) * 3), over_p
+    ).reshape(left.shape)
     totals = np.einsum("j,pja,pja->p", weights, left_k, right)
     totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
-    refs = husimi_at(w_ref, points)
-    resid = float(np.abs(totals - refs).max())
+    resid = float(np.abs(totals - husimi_at(ctx.w_rho(), points)).max())
     return _report(
-        "wigner-decomp", resid, tol, len(points), grid, seed,
+        "wigner-decomp", resid, tol, len(points), ctx.grid, seed,
         {"nodes": n_nodes, "spacing": s},
     )
 
@@ -439,15 +417,11 @@ def check_marginal(state, grid=None, tol=None, seed=0):
     """Momentum marginal of W against the weighted momentum densities."""
     ctx = _context(state, grid=grid)
     grid, rho = ctx.grid, ctx.rho
-    tol = DEFAULT_TOLERANCES["marginal"] if tol is None else tol
     if rho.n != 1:
         raise ValueError("marginal check implemented for n=1")
     w_fn = ctx.w_rho()
     p_axis, marg = momentum_marginal(w_fn)
-    dens = np.zeros_like(marg)
-    for w, ps in zip(rho.weights, rho.pure_states):
-        dens += w * momentum_density(ps, p_axis)
-    resid = np.abs(marg - dens).max()
+    resid = np.abs(marg - momentum_density(rho, p_axis)).max()
     resid = max(resid, abs(grid.spacing * marg.sum() - rho.trace()))
     return _report("marginal", resid, tol, p_axis.size, grid, seed)
 
@@ -458,7 +432,6 @@ def check_marginal_pointwise(state, tol=None, seed=0):
     The x-quadrature uses midpoint cells aligned to half-integers so
     indicator-type supports are integrated without edge bias.
     """
-    tol = DEFAULT_TOLERANCES["marginal-pointwise"] if tol is None else tol
     rho = _context(state).rho
     if rho.n != 1:
         raise ValueError("marginal check implemented for n=1")
@@ -466,10 +439,7 @@ def check_marginal_pointwise(state, tol=None, seed=0):
     xs = -reach + step * (np.arange(int(round(2 * reach / step))) + 0.5)
     ps = np.linspace(-10.0, 10.0, 41)
     marg = step * wigner_pointwise(rho, xs, ps).real.sum(axis=0)
-    dens = np.zeros_like(marg)
-    for w, ps_state in zip(rho.weights, rho.pure_states):
-        dens += w * momentum_density(ps_state, ps, n_nodes=32768)
-    resid = np.abs(marg - dens).max()
+    resid = np.abs(marg - momentum_density(rho, ps, n_nodes=32768)).max()
     return _report("marginal-pointwise", resid, tol, ps.size, None, seed)
 
 
@@ -493,7 +463,6 @@ def _weighted_g_values(g_fn, form, power):
 def check_twisted_expansion(state, chi=None, tol=None, seed=0, n_samples=25):
     """d^a of a twisted convolution against its binomial expansion, for
     the orders a = (1, 0), (0, 1), (2, 0), (1, 1) on TWISTED_GRID."""
-    tol = DEFAULT_TOLERANCES["twisted-expansion"] if tol is None else tol
     ctx = _context(state, chi)
     rho, chi = ctx.rho, ctx.chi
     if rho.n != 1:
@@ -558,9 +527,9 @@ def heavy_tail_first_seminorms(k_max=6):
 def check_heavy_tail_trend(k_max=6, seed=0):
     values = heavy_tail_first_seminorms(k_max)
     diffs = np.diff(values)
-    resid = float(max(0.0, -diffs.min()))
-    return VerifyReport(
-        "heavy-tail-trend", resid, 0.0, k_max, 0, 0.0, seed,
+    resid = max(0.0, -diffs.min())
+    return _report(
+        "heavy-tail-trend", resid, 0.0, k_max, None, seed,
         {f"K={k+1}": v for k, v in enumerate(values)},
     )
 
@@ -578,9 +547,9 @@ def plateau_decay_exponent():
 
 def check_plateau_decay(seed=0):
     exponent = plateau_decay_exponent()
-    resid = float(max(0.0, 0.5 - exponent, exponent - 2.0))
-    return VerifyReport(
-        "plateau-decay", resid, 0.0, PLATEAU_N_P, 0, 0.0, seed, {"exponent": exponent}
+    resid = max(0.0, 0.5 - exponent, exponent - 2.0)
+    return _report(
+        "plateau-decay", resid, 0.0, PLATEAU_N_P, None, seed, {"exponent": exponent}
     )
 
 

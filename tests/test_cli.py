@@ -596,3 +596,19 @@ def test_verify_plateau_end_to_end(capsys):
     rows = [line.split(",") for line in lines[1:-1]]
     assert [row[0] for row in rows] == ["marginal-pointwise", "plateau-decay"]
     assert all(row[CSV_HEADER.split(",").index("passed")] == "1" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quasichar", "--demo", "plateau"),
+        ("husimi", "--demo", "plateau"),
+        ("seminorm", "--demo", "plateau", "--a", "0,0", "--b", "0,0", "--rep", "husimi"),
+    ],
+)
+def test_grid_resolution_failure_is_an_error_line(argv, capsys):
+    # the plateau's corner breaks both cross-checks on its suggested grid
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "residual" in err
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -529,3 +529,43 @@ def test_state_json_diagnostics(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="m"):
         load_state(path)
+
+
+def derivative_copy(psi, axis):
+    """The per-method d/dy_axis ladder step, kept as a reference."""
+    out = []
+    for at in psi.atoms:
+        m = at.m[axis]
+        ap = at.alpha[psi.n + axis]
+        out.append(Atom(at.m, at.alpha, at.coeff * 1j * ap))
+        if m >= 1:
+            mm = at.m[:axis] + (m - 1,) + at.m[axis + 1 :]
+            out.append(Atom(mm, at.alpha, at.coeff * math.sqrt(m / 2.0)))
+        mp = at.m[:axis] + (m + 1,) + at.m[axis + 1 :]
+        out.append(Atom(mp, at.alpha, -at.coeff * math.sqrt((m + 1) / 2.0)))
+    return PureState(out)
+
+
+def times_coordinate_copy(psi, axis):
+    """The per-method y_axis ladder step, kept as a reference."""
+    out = []
+    for at in psi.atoms:
+        m = at.m[axis]
+        ax = at.alpha[axis]
+        out.append(Atom(at.m, at.alpha, at.coeff * ax))
+        if m >= 1:
+            mm = at.m[:axis] + (m - 1,) + at.m[axis + 1 :]
+            out.append(Atom(mm, at.alpha, at.coeff * math.sqrt(m / 2.0)))
+        mp = at.m[:axis] + (m + 1,) + at.m[axis + 1 :]
+        out.append(Atom(mp, at.alpha, at.coeff * math.sqrt((m + 1) / 2.0)))
+    return PureState(out)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_ladder_steps_match_per_method_copies(n, seed):
+    psi = random_pure_state(np.random.default_rng(seed), n_atoms=4, n=n)
+    for axis in range(n):
+        assert psi.derivative(axis).atoms == derivative_copy(psi, axis).atoms
+        copy = times_coordinate_copy(psi, axis)
+        assert psi.times_coordinate(axis).atoms == copy.atoms

@@ -26,6 +26,7 @@ from phasespace import (
     wigner,
     wigner_pointwise,
 )
+from phasespace import transforms
 from phasespace.verify import (
     PLATEAU_N_P,
     PLATEAU_P_HI,
@@ -161,6 +162,33 @@ def test_husimi_trace_and_positivity(mixture, vacuum, grid):
     q = husimi(mixture, vacuum, grid)
     assert grid.quadrature(q.values) / (2 * np.pi) == pytest.approx(1.0, abs=1e-8)
     assert q.values.min() > -1e-9
+
+
+def test_husimi_negativity_floor_scales_with_max_q(vacuum, grid):
+    # weights x 1e10 leave a convolution negativity near -8e-7, about
+    # -2e-16 of max Q: rounding, not truncation
+    rho = random_mixture(np.random.default_rng(1))
+    big = MixedState([1e10 * w for w in rho.weights], rho.pure_states)
+    q = transforms._husimi_from_wigner(wigner(big, grid), wigner(vacuum, grid))
+    assert q.values.min() < transforms.HUSIMI_NEGATIVITY_FLOOR
+    assert q.values.min() > transforms.HUSIMI_NEGATIVITY_FLOOR * q.values.max()
+
+
+@pytest.mark.parametrize("peak, raises", [(0.5, True), (1.0, True), (10.0, False)])
+def test_husimi_negativity_floor_absolute_up_to_max_one(peak, raises):
+    # a delta window makes Q the W_rho samples: one dip of -2e-7 and one peak
+    grid = Grid(2, 16, 4.0)
+    w_rho = np.zeros((16, 16))
+    w_rho[3, 5], w_rho[10, 12] = -2e-7, peak
+    w_chi = np.zeros((16, 16))
+    w_chi[8, 8] = 1.0 / (2.0 * np.pi * grid.spacing**2)
+    fns = (PhaseSpaceFn(grid, w_rho, "wigner"), PhaseSpaceFn(grid, w_chi, "wigner"))
+    if raises:
+        with pytest.raises(GridResolutionError, match="negativity"):
+            transforms._husimi_from_wigner(*fns)
+    else:
+        q = transforms._husimi_from_wigner(*fns)
+        assert q.values.min() == pytest.approx(-2e-7, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +432,13 @@ def test_momentum_density_matches_closed_form():
     ps = np.linspace(-4, 4, 33)
     dens = momentum_density(vacuum_state(1), ps)
     np.testing.assert_allclose(dens, np.exp(-(ps**2)) / np.sqrt(np.pi), atol=1e-10)
+
+
+def test_momentum_density_sums_weighted_components(mixture):
+    ps = np.linspace(-4, 4, 33)
+    parts = [w * momentum_density(psi, ps) for w, psi in
+             zip(mixture.weights, mixture.pure_states)]
+    assert np.array_equal(momentum_density(mixture, ps), parts[0] + parts[1])
 
 
 def test_wigner_pointwise_matches_grid(mixture, grid):

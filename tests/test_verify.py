@@ -2,6 +2,7 @@
 plus suite planning, seeding, and failure-recording behavior."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from phasespace.verify import (
     check_heavy_tail_trend,
     check_husimi,
     check_marginal,
+    check_marginal_pointwise,
     check_offdiag,
     check_overlap,
     check_plateau_decay,
@@ -47,7 +49,9 @@ from phasespace.grid import symplectic_form, symplectic_fourier
 from phasespace.states import as_mixed, displaced_overlaps, random_mixture
 from phasespace.transforms import (
     MatelSampler,
+    gaussian_atom_params,
     husimi_at,
+    matel,
     quasichar,
     wigner,
     wigner_pointwise,
@@ -119,6 +123,30 @@ def test_cauchy_schwarz_matches_sampler_loop(which):
     chi = vacuum_state(1)
     batched = check_cauchy_schwarz(state, chi, seed=7, n_pairs=1000).residual
     assert abs(batched - cauchy_schwarz_loop(state, chi, 7, 1000)) <= 1e-15
+
+
+def cauchy_schwarz_three_matel(state, chi, seed, n_pairs):
+    """Reference residual: three batched matel calls, no report objects."""
+    rho = as_mixed(state)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2.0, 2.0, (n_pairs, 2, 2 * rho.n))
+    alphas, betas = pts[:, 0], pts[:, 1]
+    m2 = np.abs(matel(rho, chi, alphas, betas)) ** 2
+    m_aa = matel(rho, chi, alphas, alphas)
+    q_ab = m_aa.real * matel(rho, chi, betas, betas).real
+    m2_eq = np.abs(m_aa[:20]) ** 2
+    q2 = m_aa[:20].real ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        violation = np.where(q_ab > 0, m2 / q_ab - 1.0, m2)
+        equality = np.where(q2 > 0, np.abs(m2_eq / q2 - 1.0), m2_eq)
+    return max(0.0, violation.max(initial=0.0), equality.max(initial=0.0))
+
+
+def test_cauchy_schwarz_matches_three_matel_formula(mixtures20):
+    chi = vacuum_state(1)
+    for rho in mixtures20[:3]:
+        got = check_cauchy_schwarz(rho, chi, seed=7).residual
+        assert got == cauchy_schwarz_three_matel(rho, chi, 7, 1000)
 
 
 def test_offdiag_check():
@@ -245,6 +273,57 @@ def test_decomp_matches_pairwise_route(case, n_nodes):
             rho, chi, points=[point], grid=grid, n_nodes=n_nodes
         ).residual
         assert abs(got - abs(total - ref)) <= 1e-12 * abs(total), point
+
+
+def decomp_dense_kernel_residual(ctx, n_nodes):
+    """Reference residual: the pair kernel K filled as one A x A array."""
+    rho, chi = ctx.rho, ctx.chi
+    kappa, center = gaussian_atom_params(chi)
+    s = 0.4
+    axis = s * (np.arange(n_nodes) - n_nodes // 2)
+    mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    f_mesh = np.stack([displaced_overlaps(chi, mesh, ps) for ps in rho.pure_states])
+    points = ctx.grid.spacing * np.array(
+        [[0, 0], [10, 0], [0, 10], [-10, 10], [10, 10], [-8, -4], [4, -12], [16, 8]]
+    )
+    e_tab = np.exp(-0.5 * np.outer(axis, axis))
+    c_tab = np.exp(0.5j * np.outer(axis, axis))
+    kernel = np.empty((n_nodes,) * 4, dtype=complex)
+    np.multiply(e_tab[:, None, :, None], e_tab[None, :, None, :], out=kernel)
+    kernel *= np.conj(c_tab)[None, :, :, None]
+    kernel *= c_tab[:, None, None, :]
+    kernel = kernel.reshape(mesh.shape[0], mesh.shape[0])
+    eta = points - center
+    wedge = symplectic_form(points[:, None, :], mesh[None, :, :])
+    gauss = eta @ mesh.T - 0.25 * (mesh**2).sum(-1)
+    left = np.exp(1j * wedge + gauss)[:, None, :] * f_mesh
+    right = np.exp(-1j * wedge + gauss)[:, None, :] * np.conj(f_mesh)
+    left_k = (left.reshape(-1, mesh.shape[0]) @ kernel).reshape(left.shape)
+    totals = np.einsum("j,pja,pja->p", np.asarray(rho.weights), left_k, right)
+    totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
+    return float(np.abs(totals - husimi_at(ctx.w_rho(), points)).max())
+
+
+@pytest.mark.parametrize("which", ["vacuum", "fock1", "mixture"])
+def test_decomp_matches_dense_kernel_build(which, mixture, grid):
+    state = {"vacuum": vacuum_state(1), "fock1": fock_state(1), "mixture": mixture}
+    ctx = BoundContext(state[which], grid=grid)
+    for n_nodes in (48, 64):
+        got = check_wigner_decomp(ctx, n_nodes=n_nodes).residual
+        assert abs(got - decomp_dense_kernel_residual(ctx, n_nodes)) <= 1e-15
+
+
+def test_decomp_forms_no_pair_kernel(grid):
+    # the A x A kernel alone is 85 MB at 48 nodes
+    ctx = BoundContext(random_mixture(np.random.default_rng(7)), grid=grid)
+    ctx.w_rho()
+    tracemalloc.start()
+    try:
+        check_wigner_decomp(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_decomp_rejects_multi_atom_window(vacuum, grid):
@@ -431,6 +510,37 @@ def test_tolerance_table_complete():
         "marginal-pointwise", "twisted-expansion",
     }
     assert set(DEFAULT_TOLERANCES) == expected
+
+
+def test_checks_read_default_tolerances(vacuum):
+    ctx = BoundContext(vacuum, grid=Grid(2, 64, 8.0))
+    four_d = dict(points=[[0.0, 0.0]], n_nodes=8)
+    calls = {
+        "duality": lambda tol: check_duality(ctx, tol=tol),
+        "trace": lambda tol: check_trace(ctx, tol=tol),
+        "overlap": lambda tol: check_overlap(ctx, tol=tol),
+        "husimi": lambda tol: check_husimi(ctx, tol=tol),
+        "cauchy-schwarz": lambda tol: check_cauchy_schwarz(ctx, tol=tol, n_pairs=2),
+        "offdiag": lambda tol: check_offdiag(tol=tol, n_triples=1),
+        "reproducing": lambda tol: check_reproducing(
+            ctx, samples=SAMPLES3[:1], tol=tol
+        ),
+        "wigner-from-matel": lambda tol: check_wigner_from_matel(
+            ctx, tol=tol, **four_d
+        ),
+        "wigner-decomp": lambda tol: check_wigner_decomp(ctx, tol=tol, **four_d),
+        "marginal": lambda tol: check_marginal(ctx, tol=tol),
+        "marginal-pointwise": lambda tol: check_marginal_pointwise(
+            demo_state("plateau"), tol=tol
+        ),
+        "twisted-expansion": lambda tol: check_twisted_expansion(
+            ctx, tol=tol, n_samples=1
+        ),
+    }
+    assert set(calls) == set(DEFAULT_TOLERANCES)
+    for name, call in calls.items():
+        assert call(None).tolerance == DEFAULT_TOLERANCES[name], name
+        assert call(0.5).tolerance == 0.5, name
 
 
 # --- one shared workspace per suite -----------------------------------------
