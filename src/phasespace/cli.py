@@ -40,6 +40,8 @@ DEMO_NAMES = ("vacuum", "fock1", "plateau", "heavy-tail")
 
 BOUND_HEADER = "a,b,lhs,rhs,ratio,pass"
 SEMINORM_HEADER = "family,a,b,value,N,L,band"
+# a --state file is a density operator, and the check tolerances are absolute
+_TRACE_TOL = 1e-6
 
 
 @dataclass
@@ -198,7 +200,11 @@ def _resolve_state(args):
         raise ValueError("--K applies only to --demo heavy-tail")
     if args.demo is not None:
         return demo_state(args.demo, K=args.K), args.demo.replace("-", "_")
-    return load_state(args.state), None
+    state = load_state(args.state)
+    if not abs(state.trace() - 1.0) <= _TRACE_TOL:
+        raise ValueError(f"{args.state}: trace {_fmt(state.trace())} differs from 1"
+                         f" by more than {_TRACE_TOL:g}; normalize the weights")
+    return state, None
 
 
 def _resolve_chi(args):
@@ -450,6 +456,11 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # `--alpha -1,0` as `--alpha=-1,0`: argparse reads -1,0 as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--alpha", "--beta") and not argv[i].startswith("--"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         worker_count()  # a malformed PHASESPACE_THREADS exits 2 before any work

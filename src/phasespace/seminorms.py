@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import DEFAULT_BAND, Grid, GridResolutionError, derivative_coefficients
 from .multiindex import as_index, box, order
-from .states import as_mixed, hermite_values
+from .states import as_mixed
 
 OPERATOR_ORDER_CAP = 8
 ZOOM_ROUNDS = 6
@@ -189,21 +189,6 @@ def norm_sum_from_table(table, a, b):
 # jointly-Schwartz family seminorm (configuration space, n = 1)
 
 
-def _line_values(ps, xs):
-    """psi(x) of a one-axis analytic state at the points xs, all atoms at once.
-
-    Each atom term is formed as in Atom.evaluate, and the terms are added
-    in atom order as in PureState.evaluate.
-    """
-    orders = np.array([at.m[0] for at in ps.atoms])
-    shift = np.array([at.alpha[0] for at in ps.atoms])[:, None]
-    kick = np.array([at.alpha[1] for at in ps.atoms])[:, None]
-    coeffs = np.array([at.coeff for at in ps.atoms], dtype=complex)[:, None]
-    hermite = hermite_values(int(orders.max()), xs - shift)
-    phi = hermite[orders, np.arange(orders.size)]
-    return (coeffs * np.exp(1j * (xs - 0.5 * shift) * kick) * phi).sum(axis=0)
-
-
 def joint_seminorm(states, a, b):
     """sqrt of sup_x sum_i |x^a (d^b psi_i)(x)|^2 for a finite family."""
     states = list(states)
@@ -219,10 +204,7 @@ def joint_seminorm(states, a, b):
     weighted = [ps.weighted_derivative(a, b) for ps in states]
 
     def sq_sum(xs):
-        total = np.zeros(xs.shape[0])
-        for g in weighted:
-            total += np.abs(_line_values(g, xs)) ** 2
-        return total
+        return sum(np.abs(g.evaluate(xs[:, None])) ** 2 for g in weighted)
 
     half = max(ps.reach() for ps in states) + order(a) + order(b)
     xs = np.linspace(-half, half, 4096)
@@ -254,8 +236,8 @@ def kernel_seminorm(state, a, b, c, d):
     right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
 
     def values_on(xs, ys):
-        fx = np.stack([_line_values(f, xs) for f in left])
-        gy = np.stack([_line_values(g, ys) for g in right])
+        fx = np.stack([f.evaluate(xs[:, None]) for f in left])
+        gy = np.stack([g.evaluate(ys[:, None]) for g in right])
         return np.abs((lam * fx).T @ np.conj(gy))
 
     xs = np.linspace(-half, half, 1024)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .grid import symplectic_form
 
@@ -54,20 +53,6 @@ class Atom:
     @property
     def n(self):
         return len(self.m)
-
-    def evaluate(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        squeeze = np.asarray(points).ndim == 1
-        if pts.shape[-1] != self.n:
-            raise ValueError(f"points last axis must be {self.n}")
-        ax = np.asarray(self.alpha[: self.n])
-        ap = np.asarray(self.alpha[self.n :])
-        val = np.full(pts.shape[:-1], self.coeff, dtype=complex)
-        for i in range(self.n):
-            shifted = pts[..., i] - ax[i]
-            phi = hermite_values(self.m[i], shifted)[self.m[i]]
-            val = val * np.exp(1j * (pts[..., i] - 0.5 * ax[i]) * ap[i]) * phi
-        return val[0] if squeeze and val.shape == (1,) else val
 
 
 def _merge(atoms):
@@ -108,8 +93,26 @@ class PureState:
         return True
 
     def evaluate(self, points):
-        vals = [at.evaluate(points) for at in self.atoms]
-        return sum(vals[1:], start=vals[0])
+        """psi at points (..., n), or at one point (n,), all atoms at once:
+        one hermite_values call per axis up to its largest order, on each
+        distinct displacement once; each term coeff prod_i e^{i(y_i -
+        a_x,i/2) a_p,i} phi_{m_i}(y_i - a_x,i) is multiplied in axis order
+        and the terms are added in atom order."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != self.n:
+            raise ValueError(f"points last axis must be {self.n}")
+        lead = (-1,) + (1,) * (pts.ndim - 1)  # atoms first, then the points
+        shifts = {}  # derivatives and products share displacements
+        which = [shifts.setdefault(at.alpha, len(shifts)) for at in self.atoms]
+        alpha = np.array(list(shifts)).T.reshape(2 * self.n, *lead)
+        orders = np.array([at.m for at in self.atoms]).T
+        terms = np.array([at.coeff for at in self.atoms], dtype=complex).reshape(lead)
+        for i in range(self.n):
+            y, ax, ap = pts[..., i], alpha[i], alpha[self.n + i]
+            phi = hermite_values(int(orders[i].max()), y - ax)[orders[i], which]
+            terms = terms * np.exp(1j * (y - 0.5 * ax) * ap)[which] * phi
+        val = sum(terms[1:], start=terms[0])
+        return val[0] if np.ndim(points) == 1 and val.shape == (1,) else val
 
     def scaled(self, c):
         return PureState([Atom(a.m, a.alpha, c * a.coeff) for a in self.atoms])
@@ -315,6 +318,49 @@ def _factorial_ratio_sqrt(small, large):
 
 # e^{+-700} is still a normal double
 _LOG_RANGE = 700.0
+# a running Laguerre value past this is rescaled to [0.5, 1) by its exponent
+_LAGUERRE_RESCALE = 2.0**256
+
+
+def _genlaguerre(n, k, x):
+    """(value, e) with L_n^(k)(x) = value * 2**e, for integers n, k >= 0, x >= 0.
+
+    scipy's integer-order eval_genlaguerre: n = 0, n = 1 (-x + k + 1), else
+    d = -x/(k+1), p = d + 1, n - 1 normalized steps and binom(n + k, n) by
+    the product loop.  Rescaling by exact powers of two keeps e = 0 and the
+    value scipy's, bit for bit, wherever scipy's is finite and min(n, k) < 20.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.zeros(x.shape, dtype=int)
+    if n < 2:
+        return (np.ones_like(x) if n == 0 else -x + k + 1), e
+    # |L| <= binom(n + k, n) e^{x/2} (Szego) bounds |p| by e^{x/2}: below
+    # x = 2 ln 2^256 no running value comes near the rescale threshold
+    watch = np.max(x, initial=0.0) > 350.0
+    d = -x / (k + 1.0)
+    p = d + 1
+    for j in range(1, n):
+        den = j + k + 1.0
+        d = -x / den * p + (j / den) * d
+        p = d + p
+        if watch and (big := np.abs(p) > _LAGUERRE_RESCALE).any():
+            s = np.where(big, np.frexp(p)[1], 0)
+            p, d, e = np.ldexp(p, -s), np.ldexp(d, -s), e + s
+    small, num, den = min(n, k), 1.0, 1.0
+    for i in range(1, small + 1):
+        num, den = num * (i + float(n + k) - small), den * i
+        if abs(num) > 1e50:
+            num, den = num / den, 1.0
+            if num > _LAGUERRE_RESCALE:
+                num, s = math.frexp(num)
+                e = e + s
+    value = num / den * p
+    if not e.any():
+        return value, e
+    with np.errstate(over="ignore"):
+        folded = np.ldexp(value, e)
+    inside = np.isfinite(folded)
+    return np.where(inside, folded, value), np.where(inside, 0, e)
 
 
 def _dme_axis(m, n, zeta):
@@ -323,10 +369,9 @@ def _dme_axis(m, n, zeta):
     With k = |m - n| and w = zeta (m >= n) or -conj(zeta) (m < n) this is
     sqrt(min! / max!) w^k e^{-|zeta|^2/2} L_min^(k)(|zeta|^2).  Where one of
     the four factors would leave the double range (high orders, or a
-    Gaussian factor that goes subnormal) log|L| from a rescaled recurrence
-    joins the log-space amplitude and the phase e^{ik arg w} is put back
-    afterwards; elsewhere the direct product is kept, so moderate orders
-    give the same values as before.
+    Gaussian factor that goes subnormal) log|L| = log|value| + e ln 2 joins
+    the log-space amplitude and the phase e^{ik arg w} is put back
+    afterwards; elsewhere the direct product is kept.
     """
     zeta = np.asarray(zeta, dtype=complex)
     r2 = (zeta * np.conj(zeta)).real
@@ -338,31 +383,18 @@ def _dme_axis(m, n, zeta):
     in_range = (log_ratio > -_LOG_RANGE) & (log_pow < _LOG_RANGE) & (
         r2 < 2.0 * _LOG_RANGE
     )
+    lag, e = _genlaguerre(small, k, r2)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         amp = _factorial_ratio_sqrt(small, small + k) * base**k * np.exp(-0.5 * r2)
-        lag = eval_genlaguerre(small, k, r2)
         out = np.asarray(amp * lag)
-    far = ~(in_range & np.isfinite(lag))
+    far = ~(in_range & (e == 0))
     if np.any(far):
         log_amp = log_ratio + log_pow[far] - 0.5 * r2[far]
-        sign, log_lag = _log_genlaguerre(small, k, r2[far])
-        out[far] = sign * np.exp(log_amp + log_lag + 1j * k * np.angle(base[far]))
+        log_lag = np.log(np.abs(lag[far])) + e[far] * math.log(2.0)
+        out[far] = np.sign(lag[far]) * np.exp(
+            log_amp + log_lag + 1j * k * np.angle(base[far])
+        )
     return out
-
-
-def _log_genlaguerre(n, k, x):
-    """(sign, log|L_n^(k)(x)|) by the three-term recurrence from L_-1 = 0,
-    L_0 = 1, rescaled at every step so that no intermediate value leaves
-    the double range."""
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    log_scale = np.zeros_like(x)
-    for j in range(n):
-        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
-        scale = np.maximum(np.abs(cur), np.abs(prev))
-        prev, cur = prev / scale, cur / scale
-        log_scale += np.log(scale)
-    return np.sign(cur), np.log(np.abs(cur)) + log_scale
 
 
 def displacement_matrix_element(m, n, xi):

@@ -604,8 +604,8 @@ def run_suite(state, chi=None, config=None, demo=None):
     grid_n = getattr(config, "grid_n", DEFAULT_N)
     grid_l = getattr(config, "grid_l", DEFAULT_L)
     seed = getattr(config, "seed", 0)
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(getattr(config, "tolerances", {}) or {})
+    # only the config's overrides: `_report` resolves tol=None to the default
+    tols = getattr(config, "tolerances", None) or {}
     grid = suggest_grid(rho, grid_n, grid_l)
     ctx = BoundContext(rho, chi, grid, band=getattr(config, "band", None))
     plan = suite_plan(rho, demo)

@@ -2,11 +2,22 @@
 and byte-level determinism of exported CSVs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasespace import Grid, random_mixture, save_state, vacuum_state, wigner
+from phasespace import (
+    Grid,
+    MixedState,
+    random_mixture,
+    save_state,
+    vacuum_state,
+    wigner,
+)
 from phasespace import bounds, cli, transforms, verify
 from phasespace.cli import (
     BOUND_HEADER,
@@ -612,3 +623,62 @@ def test_grid_resolution_failure_is_an_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "residual" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# --- negative matel coordinates, state-file trace, start-up imports -------------
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_matel_negative_point_after_a_space(capsys, flag):
+    labels = {"--alpha": "0.3,0.2", "--beta": "0,0", flag: "-1.0,-0.5"}
+    spaced = [t for name, value in labels.items() for t in (name, value)]
+    glued = [f"{name}={value}" for name, value in labels.items()]
+    assert run_cli("matel", "--demo", "fock1", *spaced) == 0
+    out = capsys.readouterr().out
+    assert run_cli("matel", "--demo", "fock1", *glued) == 0
+    assert capsys.readouterr().out == out
+    assert out.startswith("matel = ")
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_matel_malformed_negative_point_names_its_flag(monkeypatch, capsys, flag):
+    monkeypatch.setattr(cli, "matel", lambda *args: pytest.fail("matel ran"))
+    labels = {"--alpha": "0,0", "--beta": "0,0", flag: "-x,1"}
+    argv = [t for name, value in labels.items() for t in (name, value)]
+    assert run_cli("matel", "--demo", "vacuum", *argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "'-x,1'" in err
+
+
+def test_state_file_with_trace_off_one_rejected(tmp_path, capsys, no_transforms):
+    rho = random_mixture(np.random.default_rng(1))
+    scaled = MixedState([1e10 * w for w in rho.weights], rho.pure_states)
+    path = tmp_path / "scaled.json"
+    save_state(scaled, path)
+    assert run_cli("wigner", "--state", str(path), "--grid", "32,8") == 2
+    err = capsys.readouterr().err
+    assert f"{path}: trace 99999999" in err and "normalize" in err
+    save_state(rho, path)
+    assert run_cli("matel", "--state", str(path), "--alpha", "0,0",
+                   "--beta", "0,0") == 0
+
+
+def test_chi_file_keeps_normalizing(tmp_path, capsys):
+    path = tmp_path / "chi.json"
+    save_state(vacuum_state(1).scaled(2.0), path)
+    argv = ("matel", "--demo", "fock1", "--alpha", "0.4,-0.3", "--beta", "1.1,0.2")
+    assert run_cli(*argv, "--chi", "vacuum") == 0
+    named = capsys.readouterr().out
+    assert run_cli(*argv, "--chi", str(path)) == 0
+    assert capsys.readouterr().out == named
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, phasespace.cli; print('scipy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -9,11 +9,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from phasespace import (
-    Atom,
     Grid,
     GridResolutionError,
     MixedState,
@@ -36,7 +33,6 @@ from phasespace import (
 )
 from phasespace.grid import DEFAULT_BAND, derivative_coefficients
 from phasespace.multiindex import box, monomial
-from phasespace.seminorms import _line_values
 from phasespace.states import as_mixed, random_mixture, wigner_values
 from phasespace.verify import heavy_tail_first_seminorms
 
@@ -384,7 +380,7 @@ def _oracle_joint(states, a, b):
     weighted = [ps.weighted_derivative(a, b) for ps in states]
 
     def sq_sum(xs):
-        return sum(np.abs(_line_values(g, xs)) ** 2 for g in weighted)
+        return sum(np.abs(g.evaluate(xs[:, None])) ** 2 for g in weighted)
 
     half = max(ps.reach() for ps in states) + sum(a) + sum(b)
     xs = np.linspace(-half, half, 4096)
@@ -409,8 +405,8 @@ def _oracle_kernel(state, a, b, c, d):
     right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
 
     def sup_on(xs, ys):
-        fx = np.stack([_line_values(f, xs) for f in left])
-        gy = np.stack([_line_values(g, ys) for g in right])
+        fx = np.stack([f.evaluate(xs[:, None]) for f in left])
+        gy = np.stack([g.evaluate(ys[:, None]) for g in right])
         mat = np.abs((lam * fx).T @ np.conj(gy))
         i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
         return float(mat[i, j]), float(xs[i]), float(ys[j])
@@ -496,26 +492,3 @@ def test_weighted_components_built_once_per_call(monkeypatch):
     built.clear()
     joint_seminorm(comps, (2,), (1,))
     assert len(built) == len(comps)
-
-
-atoms_1d = st.builds(
-    lambda m, ax, ap, re, im: Atom((m,), (ax, ap), complex(re, im)),
-    st.integers(0, 40),
-    st.floats(-30.0, 30.0),
-    st.floats(-30.0, 30.0),
-    st.floats(-2.0, 2.0),
-    st.floats(-2.0, 2.0),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    atoms=st.lists(atoms_1d, min_size=1, max_size=5),
-    xs=st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=40),
-)
-def test_line_values_match_evaluate(atoms, xs):
-    psi = PureState(atoms)
-    xs = np.array(xs)
-    expected = psi.evaluate(xs[:, None])
-    got = _line_values(psi, xs)
-    assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))

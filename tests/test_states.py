@@ -28,6 +28,8 @@ from phasespace import (
 )
 from phasespace.states import (
     _factorial_ratio_sqrt,
+    _genlaguerre,
+    hermite_values,
     pure_overlap,
     quasichar_values,
 )
@@ -267,6 +269,37 @@ def test_matrix_element_where_gaussian_goes_subnormal(m, n, xi):
     got = displacement_matrix_element((m,), (n,), xi)
     assert exact != 0
     assert abs(got - exact) <= 1e-11 * abs(exact)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 19, 20, 45, 59])
+def test_genlaguerre_is_scipys_bit_for_bit(n):
+    # scipy's integer-order loop: every finite value it returns is pinned,
+    # n = 0 and n = 1 are its special cases, and its binom product loop
+    # runs for min(n, k) < 20
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(n)
+    x = np.concatenate([np.linspace(0.0, 1400.0, 701), rng.uniform(0.0, 8.0, 300)])
+    for k in range(60):
+        if min(n, k) >= 20:
+            continue
+        expected = special.eval_genlaguerre(n, k, x)
+        value, e = _genlaguerre(n, k, x)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(e, np.zeros_like(e))
+        assert np.array_equal(value.view(np.int64), expected.view(np.int64)), k
+
+
+def test_genlaguerre_exponent_carries_past_overflow():
+    # L_300(5000) and L_600(5000) leave the double range: scipy overflows,
+    # value * 2**e keeps the logarithm
+    mp = pytest.importorskip("mpmath")
+    for n, k in [(300, 0), (600, 0), (310, 10)]:
+        value, e = _genlaguerre(n, k, np.array([5000.0]))
+        exact = mp.laguerre(n, k, 5000)
+        assert e[0] > 0
+        assert np.sign(value[0]) == mp.sign(exact)
+        log_abs = math.log(abs(value[0])) + e[0] * math.log(2.0)
+        assert abs(log_abs - float(mp.log(abs(exact)))) <= 1e-14 * abs(log_abs)
 
 
 # --- closed-form Wigner values -------------------------------------------------
@@ -569,3 +602,63 @@ def test_ladder_steps_match_per_method_copies(n, seed):
         assert psi.derivative(axis).atoms == derivative_copy(psi, axis).atoms
         copy = times_coordinate_copy(psi, axis)
         assert psi.times_coordinate(axis).atoms == copy.atoms
+
+
+def atom_evaluate_copy(at, points):
+    """The per-atom evaluation that PureState.evaluate summed atom by atom."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = len(at.m)
+    ax, ap = np.asarray(at.alpha[:n]), np.asarray(at.alpha[n:])
+    val = np.full(pts.shape[:-1], at.coeff, dtype=complex)
+    for i in range(n):
+        phi = hermite_values(at.m[i], pts[..., i] - ax[i])[at.m[i]]
+        val = val * np.exp(1j * (pts[..., i] - 0.5 * ax[i]) * ap[i]) * phi
+    return val
+
+
+def per_atom_evaluate(psi, points):
+    vals = [atom_evaluate_copy(at, points) for at in psi.atoms]
+    return sum(vals[1:], start=vals[0])
+
+
+atoms_1d = st.builds(
+    lambda m, ax, ap, re, im: Atom((m,), (ax, ap), complex(re, im)),
+    st.integers(0, 40),
+    st.floats(-30.0, 30.0),
+    st.floats(-30.0, 30.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(atoms_1d, min_size=1, max_size=5),
+    xs=st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=40),
+)
+def test_evaluate_matches_per_atom_oracle(atoms, xs):
+    psi = PureState(atoms)
+    pts = np.array(xs)[:, None]
+    # x d psi: atoms of several orders share each displacement
+    for state in (psi, psi.weighted_derivative((1,), (1,))):
+        assert np.array_equal(state.evaluate(pts), per_atom_evaluate(state, pts))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_evaluate_matches_per_atom_oracle_several_axes(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = random_pure_state(rng, n_atoms=5, n=n, max_order=6, disp=3.0)
+    pts = rng.uniform(-6.0, 6.0, (7, 9, n))
+    got, expected = psi.evaluate(pts), per_atom_evaluate(psi, pts)
+    assert got.shape == (7, 9)
+    assert np.all(np.abs(got - expected) <= 4e-16 * np.abs(expected).max())
+
+
+def test_evaluate_one_point_and_bad_shape():
+    psi = random_pure_state(np.random.default_rng(2), n_atoms=3)
+    value = psi.evaluate(np.array([0.3]))
+    assert np.ndim(value) == 0
+    assert value == psi.evaluate(np.array([[0.3]]))[0]
+    with pytest.raises(ValueError, match="last axis must be 1"):
+        psi.evaluate(np.zeros((4, 2)))
