@@ -20,6 +20,14 @@ OPERATOR_ORDER_CAP = 8
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 5
 ZOOM_SHRINK = 3.0
+# the kernel lattice is read in row blocks of this size; each row's
+# Cauchy-Schwarz bound is inflated by the relative margin, which covers the
+# rounding of a K-term complex dot product and of the two norms for K up
+# to a few thousand components, plus the floor, far above the absolute
+# rounding of subnormal products
+_KERNEL_ROW_BLOCK = 64
+_KERNEL_BOUND_MARGIN = 1e-12
+_KERNEL_BOUND_FLOOR = 1e-300
 
 
 def _index_for(a, dim):
@@ -88,26 +96,33 @@ def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
     return best
 
 
-def _zoom_max(values_on, lattice, width, n_local, rounds=ZOOM_ROUNDS):
-    """Max of values_on (one 1-D array per axis -> values on their product
-    set) on the lattice axes, then on `rounds` windows of n_local points
-    per axis, +-width about the best point so far and kept only if strictly
-    greater; width shrinks by ZOOM_SHRINK after every window."""
+def _lattice_peak(values_on, axes):
+    """Max of values_on on the product set of axes and its point; ties go
+    to the first index in C order, as np.argmax."""
+    vals = values_on(*axes)
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[idx]), [float(axis[i]) for axis, i in zip(axes, idx)]
 
-    def peak(axes):
-        vals = values_on(*axes)
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return float(vals[idx]), [float(axis[i]) for axis, i in zip(axes, idx)]
 
-    best, centers = peak(lattice)
+def _zoom_windows(values_on, best, centers, width, n_local, rounds=ZOOM_ROUNDS):
+    """Refine a lattice peak (best at centers) on `rounds` windows of n_local
+    points per axis, +-width about the best point so far and kept only if
+    strictly greater; width shrinks by ZOOM_SHRINK after every window."""
     for _ in range(rounds):
-        value, point = peak(
-            [np.linspace(c - width, c + width, n_local) for c in centers]
+        value, point = _lattice_peak(
+            values_on, [np.linspace(c - width, c + width, n_local) for c in centers]
         )
         if value > best:
             best, centers = value, point
         width /= ZOOM_SHRINK
     return best
+
+
+def _zoom_max(values_on, lattice, width, n_local, rounds=ZOOM_ROUNDS):
+    """Max of values_on (one 1-D array per axis -> values on their product
+    set) on the lattice axes, then on the `_zoom_windows` about its peak."""
+    best, centers = _lattice_peak(values_on, lattice)
+    return _zoom_windows(values_on, best, centers, width, n_local, rounds)
 
 
 def _lattice_sup(abs_vals, grid, a, lo, hi):
@@ -235,13 +250,58 @@ def kernel_seminorm(state, a, b, c, d):
     left = [ps.weighted_derivative(a, b) for ps in rho.pure_states]
     right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
 
+    def scaled_left(xs):
+        return lam * np.stack([f.evaluate(xs[:, None]) for f in left])
+
+    def conj_right(ys):
+        return np.conj(np.stack([g.evaluate(ys[:, None]) for g in right]))
+
     def values_on(xs, ys):
-        fx = np.stack([f.evaluate(xs[:, None]) for f in left])
-        gy = np.stack([g.evaluate(ys[:, None]) for g in right])
-        return np.abs((lam * fx).T @ np.conj(gy))
+        return np.abs(scaled_left(xs).T @ conj_right(ys))
 
     xs = np.linspace(-half, half, 1024)
-    return _zoom_max(values_on, [xs, xs], xs[1] - xs[0], 17)
+    best, centers = _kernel_lattice_peak(
+        scaled_left(xs), conj_right(xs), xs, (a, b, c, d)
+    )
+    return _zoom_windows(values_on, best, centers, xs[1] - xs[0], 17)
+
+
+def _kernel_lattice_peak(rows_f, cols_g, xs, indices):
+    """Max of |rows_f.T @ cols_g| on the lattice xs x xs and its point, read
+    in blocks of _KERNEL_ROW_BLOCK rows pruned by Cauchy-Schwarz.
+
+    |sum_j F_j(x) G_j(y)| <= |F(x)| max_y |G(y)|, inflated by
+    _KERNEL_BOUND_MARGIN and _KERNEL_BOUND_FLOOR for rounding, bounds every
+    entry of row x.  Rows are read in descending bound order (a stable sort:
+    equal bounds keep the smaller row first) until the next block's first
+    bound is below the best value read; every unread row is then strictly
+    below the maximum.  The argmax over the rows read, in ascending row
+    order, is np.argmax of the dense product: smallest row, then smallest
+    column, value bit for bit.  A non-finite bound raises, naming indices.
+    """
+    # hypot keeps the norms of tiny values from underflowing, as squares would
+    bound = np.hypot.reduce(np.abs(rows_f), axis=0) * (
+        np.hypot.reduce(np.abs(cols_g), axis=0).max() * (1.0 + _KERNEL_BOUND_MARGIN)
+    ) + _KERNEL_BOUND_FLOOR
+    if not np.isfinite(bound).all():
+        a, b, c, d = indices
+        raise ValueError(
+            f"kernel seminorm a={a} b={b} c={c} d={d}: component values are not finite"
+        )
+    by_bound = np.argsort(-bound, kind="stable")
+    best, read, blocks = -np.inf, [], []
+    for start in range(0, by_bound.size, _KERNEL_ROW_BLOCK):
+        rows = by_bound[start : start + _KERNEL_ROW_BLOCK]
+        if bound[rows[0]] < best:
+            break
+        blocks.append(np.abs(rows_f[:, rows].T @ cols_g))
+        read.append(rows)
+        best = max(best, blocks[-1].max())
+    rows = np.concatenate(read)
+    ascending = np.argsort(rows)
+    vals = np.concatenate(blocks)[ascending]
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[i, j]), [float(xs[rows[ascending[i]]]), float(xs[j])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, config parsing,
 and byte-level determinism of exported CSVs."""
 
+import json
 import math
 import os
 import subprocess
@@ -661,6 +662,17 @@ def test_state_file_with_trace_off_one_rejected(tmp_path, capsys, no_transforms)
     save_state(rho, path)
     assert run_cli("matel", "--state", str(path), "--alpha", "0,0",
                    "--beta", "0,0") == 0
+
+
+def test_state_file_order_above_hermite_cap_rejected(tmp_path, capsys, no_transforms):
+    # phi_1000 came back as 0 past |y| = 38.6; the order is refused by name
+    path = tmp_path / "high.json"
+    atom = {"m": 1000, "alpha": [0.0, 0.0], "coeff": [1.0, 0.0]}
+    path.write_text(json.dumps({"weights": [1.0], "pure_states": [{"atoms": [atom]}]}))
+    assert run_cli("matel", "--state", str(path), "--alpha", "0,0",
+                   "--beta", "0,0") == 2
+    err = capsys.readouterr().err
+    assert "pure_states[0].atoms[0]: hermite order 1000 exceeds cap" in err
 
 
 def test_chi_file_keeps_normalizing(tmp_path, capsys):

@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasespace import (
+    Atom,
     Grid,
     GridResolutionError,
     MixedState,
@@ -33,6 +36,7 @@ from phasespace import (
 )
 from phasespace.grid import DEFAULT_BAND, derivative_coefficients
 from phasespace.multiindex import box, monomial
+from phasespace.seminorms import _kernel_lattice_peak
 from phasespace.states import as_mixed, random_mixture, wigner_values
 from phasespace.verify import heavy_tail_first_seminorms
 
@@ -492,3 +496,151 @@ def test_weighted_components_built_once_per_call(monkeypatch):
     built.clear()
     joint_seminorm(comps, (2,), (1,))
     assert len(built) == len(comps)
+
+
+# --- the pruned kernel lattice search against the dense product --------------
+
+small_atoms = st.builds(
+    lambda m, ax, ap, re, im: Atom((m,), (ax, ap), complex(re, im)),
+    st.integers(0, 3),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+weighted_components = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-200)),
+    st.lists(small_atoms, min_size=1, max_size=3).map(PureState),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    comps=st.lists(weighted_components, min_size=1, max_size=4),
+    entry=st.tuples(*[st.sampled_from(C12_INDICES)] * 4),
+)
+def test_pruned_kernel_search_matches_dense_oracle(comps, entry):
+    # K = 1..4 components, weights drawn exactly 0 or so small that squared
+    # component values would underflow
+    rho = MixedState([w for w, _ in comps], [psi for _, psi in comps])
+    assert kernel_seminorm(rho, *entry) == _oracle_kernel(rho, *entry)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_pruned_kernel_search_keeps_mirror_ties(m):
+    # |K(x, y)| = |f(x)| |f(y)| on a symmetric lattice: mirror rows share
+    # their bound and the lattice max is reached up to four times, where
+    # the smallest row, then the smallest column, must win
+    psi = fock_state(m)
+    for a, b in itertools.product(C12_INDICES, repeat=2):
+        assert kernel_seminorm(psi, a, b, a, b) == _oracle_kernel(psi, a, b, a, b)
+
+
+@pytest.mark.parametrize("weights", [(0.0, 0.0), (1e-200, 0.0), (2.2e-311, 1e-320)])
+def test_pruned_kernel_search_on_zero_and_tiny_kernels(weights):
+    rho = MixedState(weights, [vacuum_state(1), fock_state(1)])
+    for entry in [((0,), (0,), (0,), (0,)), ((1,), (2,), (0,), (1,))]:
+        value = kernel_seminorm(rho, *entry)
+        assert value == _oracle_kernel(rho, *entry)
+        assert (value == 0.0) == (max(weights) == 0.0)
+    # every bound ties with the best value 0, so no row may be pruned and
+    # the peak is the dense argmax, the first lattice point
+    xs = np.linspace(-3.0, 3.0, 1024)
+    zero = np.zeros((2, xs.size), dtype=complex)
+    assert _kernel_lattice_peak(zero, zero, xs, None) == (0.0, [xs[0], xs[0]])
+
+
+def _dense_lattice_peak(rows_f, cols_g, xs):
+    vals = np.abs(rows_f.T @ cols_g)
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[i, j]), [float(xs[i]), float(xs[j])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.integers(0, 40),
+    zero_rows=st.integers(0, 1024),
+)
+def test_pruned_lattice_peak_is_the_dense_argmax(k, seed, ties, zero_rows):
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-8.0, 8.0, 1024)
+
+    def components():
+        envelope = np.exp(-((xs - rng.uniform(-4.0, 4.0, (k, 1))) ** 2) / 4.0)
+        noise = rng.normal(size=(2, k, xs.size))
+        return envelope * (noise[0] + 1j * noise[1])
+
+    rows_f, cols_g = components(), np.conj(components())
+    # repeated rows and columns tie in bound and value; zeroed rows tie at 0
+    src, dst = rng.integers(0, xs.size, (2, ties))
+    rows_f[:, dst] = rows_f[:, src]
+    cols_g[:, rng.permutation(dst)] = cols_g[:, src]
+    rows_f[:, rng.permutation(xs.size)[:zero_rows]] = 0.0
+    got = _kernel_lattice_peak(rows_f, cols_g, xs, None)
+    assert got == _dense_lattice_peak(rows_f, cols_g, xs)
+
+
+def test_pruned_lattice_peak_breaks_value_ties_by_row_not_bound():
+    # rows 3 and 700 reach the max 2 through their first component; row
+    # 700's second component meets a zero and only raises its bound, so
+    # row 700 is read first, yet the dense argmax, row 3, must win
+    xs = np.linspace(-1.0, 1.0, 1024)
+    rows_f = np.zeros((2, xs.size), dtype=complex)
+    cols_g = np.zeros((2, xs.size), dtype=complex)
+    rows_f[0], cols_g[0] = 0.1, 0.1
+    rows_f[:, 3], rows_f[:, 700], cols_g[:, 5] = (1.0, 0.0), (1.0, 0.5), (2.0, 0.0)
+    peak = _kernel_lattice_peak(rows_f, cols_g, xs, None)
+    assert peak == _dense_lattice_peak(rows_f, cols_g, xs) == (2.0, [xs[3], xs[5]])
+
+
+def test_pruned_lattice_peak_finds_a_row_at_its_bound_past_two_blocks():
+    # row 900 meets Cauchy-Schwarz with equality (value 1 = its bound) but
+    # sorts after rows 0..127, whose larger bounds hold values of 0.9995:
+    # only a bound that never falls below a value keeps row 900 read
+    xs = np.linspace(-1.0, 1.0, 1024)
+    rows_f = np.zeros((2, xs.size), dtype=complex)
+    cols_g = np.zeros((2, xs.size), dtype=complex)
+    rows_f[:, :128] = np.c_[[0.9995, 10.0]]
+    rows_f[:, 900], cols_g[:, 7] = (1.0, 0.0), (1.0, 0.0)
+    peak = _kernel_lattice_peak(rows_f, cols_g, xs, None)
+    assert peak == _dense_lattice_peak(rows_f, cols_g, xs) == (1.0, [xs[900], xs[7]])
+
+
+def test_pruned_lattice_peak_floor_covers_subnormal_rounding():
+    # row 0's product rounds up past its own Cauchy-Schwarz bound in the
+    # subnormal range (5.4e-323 against 5e-323); rows 1..128 reach the same
+    # value with a larger bound, so without the floor row 0 would open a
+    # pruned third block, while the dense argmax is row 0
+    f_low = [4.985938041729444e-169 + 1.3986922330346728e-168j,
+             -1.1007761368161304e-168 - 8.838969211115465e-169j]
+    f_high = [8.956678053738013e-169 - 1.2829552024922615e-168j,
+              2.3845931268591166e-169 + 1.5399914596311555e-168j]
+    g = [9.981696814774167e-156 + 1.4297789628455409e-155j,
+         2.6574903637368414e-156 - 1.7162309234688226e-155j]
+    xs = np.linspace(-1.0, 1.0, 1024)
+    rows_f = np.zeros((2, xs.size), dtype=complex)
+    cols_g = np.zeros((2, xs.size), dtype=complex)
+    rows_f[:, 0], rows_f[:, 1:129], cols_g[:, 0] = f_low, np.c_[f_high], g
+    peak = _kernel_lattice_peak(rows_f, cols_g, xs, None)
+    assert peak == _dense_lattice_peak(rows_f, cols_g, xs) == (5.4e-323, [xs[0], xs[0]])
+
+
+@pytest.mark.parametrize("poisoned_call", [0, 1])
+def test_kernel_nan_component_raises_by_name(monkeypatch, poisoned_call):
+    # call 0 evaluates the left component set on the lattice, call 1 the right
+    evaluate, calls = PureState.evaluate, []
+
+    def poisoning(self, points):
+        vals = evaluate(self, points)
+        if len(calls) == poisoned_call:
+            vals[len(vals) // 3] = complex(np.nan, 0.0)
+        calls.append(len(vals))
+        return vals
+
+    monkeypatch.setattr(PureState, "evaluate", poisoning)
+    named = r"a=\(1,\) b=\(0,\) c=\(2,\) d=\(1,\): component values are not finite"
+    with pytest.raises(ValueError, match=named):
+        kernel_seminorm(vacuum_state(1), (1,), (0,), (2,), (1,))
+    assert calls == [1024, 1024]

@@ -27,6 +27,7 @@ from phasespace import (
     wigner_values,
 )
 from phasespace.states import (
+    HERMITE_MAX_ORDER,
     _factorial_ratio_sqrt,
     _genlaguerre,
     hermite_values,
@@ -300,6 +301,35 @@ def test_genlaguerre_exponent_carries_past_overflow():
         assert np.sign(value[0]) == mp.sign(exact)
         log_abs = math.log(abs(value[0])) + e[0] * math.log(2.0)
         assert abs(log_abs - float(mp.log(abs(exact)))) <= 1e-14 * abs(log_abs)
+
+
+def test_hermite_order_cap_against_mpmath():
+    # phi_0 goes subnormal past |y| = 37.6 and 0 past 38.6; at the cap the
+    # loss the recurrence carries from there stays below 1e-15 absolute
+    mp = pytest.importorskip("mpmath")
+    cap = HERMITE_MAX_ORDER
+    ys = np.array([37.0, 38.0, 38.5, 38.603, 38.60396, 38.7, 39.0, 44.0])
+    ys = np.concatenate([ys, -ys])
+    got = PureState([Atom((cap,), (0.0, 0.0), 1.0)]).evaluate(ys[:, None])
+    with mp.workdps(50):
+        for y, value in zip(ys, got):
+            y = mp.mpf(float(y))
+            exact = mp.hermite(cap, y) * mp.exp(-y * y / 2) / mp.sqrt(
+                2**cap * mp.factorial(cap) * mp.sqrt(mp.pi)
+            )
+            assert abs(value - complex(exact)) <= 1e-15, float(y)
+    with pytest.raises(ValueError, match=f"hermite order {cap + 1} exceeds cap {cap}"):
+        Atom((cap + 1,), (0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match=f"hermite order {cap + 1} exceeds"):
+        fock_state(cap).times_coordinate(0)
+
+
+def test_state_file_order_above_cap_names_the_atom(tmp_path):
+    path = tmp_path / "high.json"
+    atom = {"m": [2, 1000], "alpha": [0, 0, 0, 0], "coeff": [1, 0]}
+    path.write_text(json.dumps({"weights": [1.0], "pure_states": [{"atoms": [atom]}]}))
+    with pytest.raises(ValueError, match=r"atoms\[0\]: hermite order 1000 exceeds"):
+        load_state(path)
 
 
 # --- closed-form Wigner values -------------------------------------------------
@@ -653,6 +683,19 @@ def test_evaluate_matches_per_atom_oracle_several_axes(n, seed):
     got, expected = psi.evaluate(pts), per_atom_evaluate(psi, pts)
     assert got.shape == (7, 9)
     assert np.all(np.abs(got - expected) <= 4e-16 * np.abs(expected).max())
+
+
+def test_evaluate_tables_built_on_first_call_only():
+    psi = random_pure_state(np.random.default_rng(4), n_atoms=4)
+    state = psi.weighted_derivative((1,), (2,))
+    # the ladder's intermediate states are never evaluated and build nothing
+    assert "_evaluate_tables" not in vars(state)
+    pts = np.linspace(-5.0, 5.0, 17)[:, None]
+    first = state.evaluate(pts)
+    tables = vars(state)["_evaluate_tables"]
+    assert np.array_equal(state.evaluate(pts), first)
+    assert vars(state)["_evaluate_tables"] is tables
+    assert np.array_equal(first, per_atom_evaluate(state, pts))
 
 
 def test_evaluate_one_point_and_bad_shape():
