@@ -20,6 +20,7 @@ from .grid import (
     PhaseSpaceFn,
     omega_matrix,
     spectral_derivative,
+    suggest_grid,
     symplectic_form,
     symplectic_fourier,
 )
@@ -65,7 +66,7 @@ from .transforms import (
     wigner,
     wigner_pointwise,
 )
-from .verify import VerifyReport, run_suite, suggest_grid
+from .verify import VerifyReport, run_suite
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DEFAULT_L, DEFAULT_N, Grid, PhaseSpaceFn
+from .grid import DEFAULT_BAND, PhaseSpaceFn, suggest_grid
 from .multiindex import (
     add,
     add_scalar,
@@ -25,6 +25,7 @@ from .multiindex import (
     swap_xp,
 )
 from .seminorms import (
+    _quoted_indices,
     _seminorm_entries,
     decay_norm_from_table,
     norm_sum_from_table,
@@ -57,11 +58,8 @@ class BoundReport:
 
     def row(self):
         """CSV record: a,b,lhs,rhs,ratio,pass (indices space-separated)."""
-        idx = ",".join(
-            '"' + " ".join(str(v) for v in part) + '"' for part in self.indices
-        )
         return (
-            f"{idx},{self.lhs:.17g},{self.rhs:.17g},"
+            f"{_quoted_indices(self.indices)},{self.lhs:.17g},{self.rhs:.17g},"
             f"{self.ratio:.17g},{int(self.passed)}"
         )
 
@@ -87,9 +85,12 @@ def cauchy_schwarz_reports(state, chi, pairs):
 
 
 def chi_seminorm_table(chi, a_max, b_max, grid=None):
-    """Seminorm table of W_chi used by the off-diagonal bound formulas."""
+    """Seminorm table of W_chi (n = 1) used by the off-diagonal bound
+    formulas, on `suggest_grid(chi)` unless a grid is given."""
+    if chi.n != 1:
+        raise ValueError(f"off-diagonal bounds implemented for n=1, chi has n={chi.n}")
     if grid is None:
-        grid = Grid(2, DEFAULT_N, DEFAULT_L)
+        grid = suggest_grid(chi)
     return seminorm_table(wigner(as_mixed(chi), grid), a_max, b_max)
 
 
@@ -143,11 +144,7 @@ def offdiag_bound_rhs(chi, a, b, alpha, beta, variant, table=None):
 
 def offdiag_grid_fn(chi, alpha, beta, grid):
     """Off-diagonal Wigner transform sampled on the grid via closed form."""
-    axis = grid.axis()
-    mesh = np.stack(
-        np.meshgrid(*(axis,) * grid.dim, indexing="ij"), axis=-1
-    )
-    vals = offdiag_wigner(chi, alpha, beta, mesh)
+    vals = offdiag_wigner(chi, alpha, beta, grid.points())
     return PhaseSpaceFn(grid, vals, "offdiag-wigner")
 
 
@@ -156,18 +153,18 @@ def offdiag_grid_fn(chi, alpha, beta, grid):
 
 
 class BoundContext:
-    """Caches W_rho, W_chi, Q and their seminorm tables for one (rho, chi).
+    """Caches W_rho, W_chi, Q and their seminorm tables for one (rho, chi),
+    on `suggest_grid(state)` unless a grid is given.
 
     max_total_order caps |a|+|b| of the sweep; the cached index boxes are
     sized so that every norm the bounds need is a table lookup.
     """
 
-    def __init__(self, state, chi=None, grid=None, band=None, max_total_order=4):
+    def __init__(self, state, chi=None, grid=None, band=DEFAULT_BAND,
+                 max_total_order=4):
         self.rho = as_mixed(state)
         self.chi = chi if chi is not None else vacuum_state(self.rho.n)
-        self.grid = (
-            grid if grid is not None else Grid(2 * self.rho.n, DEFAULT_N, DEFAULT_L)
-        )
+        self.grid = grid if grid is not None else suggest_grid(self.rho)
         self.band = band
         self.max_total_order = max_total_order
         self._cache = {}

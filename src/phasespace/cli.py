@@ -7,19 +7,11 @@ significant digits so identical inputs produce byte-identical files.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import BoundContext
-from .grid import (
-    DEFAULT_BAND,
-    DEFAULT_L,
-    DEFAULT_N,
-    Grid,
-    GridResolutionError,
-    PhaseSpaceFn,
-)
+from .grid import DEFAULT_BAND, Grid, GridResolutionError, PhaseSpaceFn
 from .multiindex import as_index
 from .seminorms import SeminormReport, seminorm
 from .states import HEAVY_TAIL_MAX_K, as_mixed, demo_state, load_state
@@ -29,6 +21,7 @@ from .verify import (
     DEFAULT_TOLERANCES,
     PLATEAU_P_HI,
     PLATEAU_P_LO,
+    RunConfig,
     check_heavy_tail_trend,
     check_plateau_decay,
     run_suite,
@@ -42,17 +35,6 @@ BOUND_HEADER = "a,b,lhs,rhs,ratio,pass"
 SEMINORM_HEADER = "family,a,b,value,N,L,band"
 # a --state file is a density operator, and the check tolerances are absolute
 _TRACE_TOL = 1e-6
-
-
-@dataclass
-class RunConfig:
-    grid_n: int = DEFAULT_N
-    grid_l: float = DEFAULT_L
-    seed: int = 0
-    band: float = DEFAULT_BAND
-    threads: int = 0
-    out: str = ""
-    tolerances: dict = field(default_factory=dict)
 
 
 def _config_value(key, value, where):
@@ -130,9 +112,7 @@ def _fmt(value):
 
 
 def _fn_rows(fn):
-    axis = fn.grid.axis()
-    mesh = np.stack(np.meshgrid(*(axis,) * fn.grid.dim, indexing="ij"), -1)
-    coords = mesh.reshape(-1, fn.grid.dim)
+    coords = fn.grid.points().reshape(-1, fn.grid.dim)
     values = fn.values.reshape(-1)
     complex_vals = np.iscomplexobj(values)
     if fn.grid.dim == 2:
@@ -155,9 +135,7 @@ def export_csv(obj, path, header=None):
     if isinstance(obj, PhaseSpaceFn):
         lines = _fn_rows(obj)
     else:
-        lines = [CSV_HEADER if header is None else header]
-        for rep in obj:
-            lines.append(rep.row() if hasattr(rep, "row") else rep.record())
+        lines = [CSV_HEADER if header is None else header] + [r.row() for r in obj]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
@@ -322,10 +300,8 @@ def _cmd_seminorm(args):
 
 def _cmd_bound_check(args):
     state, _ = _resolve_state(args)
-    chi = _resolve_chi(args)
-    # without --grid the context keeps its fixed default box, not suggest_grid
-    grid = _resolve_grid(args, state) if args.grid is not None else None
-    ctx = BoundContext(state, chi=chi, grid=grid, max_total_order=args.order_cap)
+    ctx = BoundContext(state, chi=_resolve_chi(args), grid=_resolve_grid(args, state),
+                       max_total_order=args.order_cap)
     names = {"theorem": ["theorem"], "husimi": ["husimi"],
              "both": ["theorem", "husimi"]}[args.variant]
     reports = []

@@ -25,6 +25,8 @@ DEFAULT_N = 256
 DEFAULT_L = 12.0
 DEFAULT_BAND = 0.1
 DERIVATIVE_ORDER_CAP = 12
+# a state fits a box of half width L when its extent plus this margin is <= L
+BOX_MARGIN = 6.0
 
 
 class GridResolutionError(RuntimeError):
@@ -73,6 +75,10 @@ class Grid:
     def shape(self):
         return (self.n_points,) * self.dim
 
+    def points(self):
+        """Every lattice point, shape (N,) * dim + (dim,), axes in "ij" order."""
+        return np.stack(np.meshgrid(*(self.axis(),) * self.dim, indexing="ij"), -1)
+
     def quadrature(self, values):
         """Rectangle rule h^dim * sum(values)."""
         values = np.asarray(values)
@@ -94,11 +100,8 @@ class Grid:
     def interior_mask(self, band=DEFAULT_BAND):
         """Boolean mask of the interior_range slice on every axis."""
         lo, hi = self.interior_range(band)
-        one = np.zeros(self.n_points, dtype=bool)
-        one[lo:hi] = True
-        mask = one
-        for _ in range(self.dim - 1):
-            mask = mask[..., None] & one
+        mask = np.zeros(self.shape(), dtype=bool)
+        mask[(slice(lo, hi),) * self.dim] = True
         return mask
 
 
@@ -120,6 +123,37 @@ class PhaseSpaceFn:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("values contain NaN/Inf")
+
+    def at(self, points):
+        """Values at points of shape (..., dim) on the grid lattice; a point
+        off the lattice or outside the box raises ValueError naming it."""
+        g = self.grid
+        points = np.asarray(points, dtype=float)
+        idx = np.rint((points + g.half_extent) / g.spacing).astype(int)
+        off = np.abs(-g.half_extent + g.spacing * idx - points) > 1e-9
+        off = (off | (idx < 0) | (idx >= g.n_points)).reshape(-1, g.dim).any(-1)
+        if off.any():
+            point = points.reshape(-1, g.dim)[off][0].tolist()
+            raise ValueError(f"point {point} is off the lattice of {g}")
+        return self.values[tuple(idx[..., i] for i in range(g.dim))]
+
+
+def fits_box(state, half_extent):
+    """True when the state's extent plus BOX_MARGIN is at most half_extent."""
+    return state.extent() + BOX_MARGIN <= half_extent
+
+
+def suggest_grid(state, base_n=DEFAULT_N, base_l=DEFAULT_L):
+    """The base box when the state fits it or its extent() is infinite, else
+    one widened to a multiple of 4 at a spacing no coarser than the base's."""
+    need = state.extent() + BOX_MARGIN
+    if fits_box(state, base_l) or not np.isfinite(need):
+        return Grid(2 * state.n, base_n, base_l)
+    half = float(4.0 * np.ceil(need / 4.0))
+    n_pts = base_n
+    while n_pts * base_l < base_n * half:
+        n_pts *= 2
+    return Grid(2 * state.n, n_pts, half)
 
 
 def symplectic_form(u, v):

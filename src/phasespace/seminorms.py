@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DEFAULT_BAND, Grid, GridResolutionError, derivative_coefficients
+from .grid import (
+    DEFAULT_BAND,
+    Grid,
+    GridResolutionError,
+    derivative_coefficients,
+    suggest_grid,
+)
 from .multiindex import as_index, box, order
 from .states import as_mixed
 
@@ -37,6 +43,11 @@ def _index_for(a, dim):
     return idx
 
 
+def _quoted_indices(indices):
+    """CSV cells of a tuple of multi-indices, each quoted, entries space-separated."""
+    return ",".join('"' + " ".join(str(v) for v in part) + '"' for part in indices)
+
+
 @dataclass(frozen=True)
 class SeminormReport:
     family: str
@@ -46,11 +57,10 @@ class SeminormReport:
     half_extent: float
     band: float
 
-    def record(self):
-        """One-line CSV-style record: family,a,b,value,N,L,band."""
-        idx = ",".join('"' + " ".join(str(v) for v in part) + '"' for part in self.indices)
+    def row(self):
+        """CSV record: family,a,b,value,N,L,band."""
         return (
-            f"{self.family},{idx},{self.value:.17g},"
+            f"{self.family},{_quoted_indices(self.indices)},{self.value:.17g},"
             f"{self.n_points},{self.half_extent:.17g},{self.band:.17g}"
         )
 
@@ -140,7 +150,7 @@ def _lattice_sup(abs_vals, grid, a, lo, hi):
     return float(weighted[idx]), point
 
 
-def _seminorm_entries(fn, pairs, band=None, refine=True):
+def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
     """{(a, b): |F|_{a,b}} for each (a, b) in pairs, sup over the interior band.
 
     F is transformed once; each distinct b costs one inverse transform for
@@ -148,7 +158,7 @@ def _seminorm_entries(fn, pairs, band=None, refine=True):
     coefficients.
     """
     grid = fn.grid
-    lo, hi = grid.interior_range(DEFAULT_BAND if band is None else band)
+    lo, hi = grid.interior_range(band)
     decays_by_b = {}
     for a, b in pairs:
         decays_by_b.setdefault(_index_for(b, grid.dim), []).append(
@@ -170,17 +180,17 @@ def _seminorm_entries(fn, pairs, band=None, refine=True):
     return table
 
 
-def seminorm(fn, a, b, band=None, refine=True):
+def seminorm(fn, a, b, band=DEFAULT_BAND, refine=True):
     """sup over the interior band of |alpha^a (d^b F)(alpha)|."""
     return _seminorm_entries(fn, [(a, b)], band, refine)[(as_index(a), as_index(b))]
 
 
-def norm_sum(fn, a, b, band=None):
+def norm_sum(fn, a, b, band=DEFAULT_BAND):
     """Sum of seminorms over the downward-closed box a' <= a, b' <= b."""
     return sum(seminorm_table(fn, a, b, band).values())
 
 
-def seminorm_table(fn, a_max, b_max, band=None, refine=True):
+def seminorm_table(fn, a_max, b_max, band=DEFAULT_BAND, refine=True):
     """All |F|_{a',b'} for a' <= a_max, b' <= b_max as a dict."""
     a_max = _index_for(a_max, fn.grid.dim)
     b_max = _index_for(b_max, fn.grid.dim)
@@ -335,7 +345,8 @@ def _sandwich_singular_value(rho, a, b, c, d, grid):
 
 def operator_seminorm(state, a, b, c, d, grid=None):
     """Largest singular value of X^a P^b rho P^c X^d on a line lattice,
-    checked against the lattice with N doubled."""
+    checked against the lattice with N doubled.  The default lattice spans
+    the `suggest_grid` box with twice its points."""
     rho = as_mixed(state)
     if rho.n != 1:
         raise ValueError("operator seminorm implemented for n=1")
@@ -348,7 +359,8 @@ def operator_seminorm(state, a, b, c, d, grid=None):
             f"momentum order {order(b) + order(c)} exceeds cap {OPERATOR_ORDER_CAP}"
         )
     if grid is None:
-        grid = Grid(1, 512, 12.0, kind="config")
+        box = suggest_grid(rho)
+        grid = Grid(1, 2 * box.n_points, box.half_extent, kind="config")
     if grid.kind != "config" or grid.dim != 1:
         raise ValueError("operator seminorm needs a 1-D config grid")
     value = _sandwich_singular_value(rho, a, b, c, d, grid)

@@ -65,6 +65,10 @@ class Atom:
                 )
         if len(self.alpha) != 2 * len(self.m):
             raise ValueError("displacement length must be 2 * number of axes")
+        if not all(math.isfinite(v) for v in self.alpha):
+            raise ValueError(f"non-finite alpha {tuple(self.alpha)}")
+        if not (math.isfinite(self.coeff.real) and math.isfinite(self.coeff.imag)):
+            raise ValueError(f"non-finite coeff {self.coeff}")
 
     @property
     def n(self):
@@ -616,8 +620,6 @@ def _load_atom(entry, where):
     coeff = entry["coeff"]
     if not (isinstance(coeff, (list, tuple)) and len(coeff) == 2):
         raise ValueError(f"{where}: coeff must be a [re, im] pair")
-    if not all(math.isfinite(v) for v in alpha + [float(c) for c in coeff]):
-        raise ValueError(f"{where}: non-finite number")
     try:
         return Atom(m, tuple(alpha), complex(float(coeff[0]), float(coeff[1])))
     except ValueError as exc:

@@ -108,20 +108,19 @@ def _rep_on_grid(rho, rows, momenta, lattice, rep):
     return out.reshape((rows.size,) * n + (momenta.size,) * n)
 
 
-def _aux_grid_lattice(grid):
-    """Integration lattice of the grid transforms: 2N nodes with the grid
-    spacing on [-2L, 2L)."""
-    return Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config")
+def _rep_on_phase_grid(rho, grid, rep):
+    """`_rep_on_grid` at every point of a phase-space grid of dim 2n, with
+    the integration lattice of 2N nodes at the grid spacing on [-2L, 2L)."""
+    if grid.kind != "phase" or grid.dim != 2 * rho.n:
+        raise ValueError("grid must be phase-space with dim 2n")
+    lattice = Grid(1, 2 * grid.n_points, 2.0 * grid.half_extent, kind="config")
+    return _rep_on_grid(rho, grid.axis(), grid.axis(), lattice, rep)
 
 
 def wigner(state, grid, reality_tol=1e-10):
     """Wigner function (2pi)^{-n} int e^{i a_p.y} K(a_x - y/2, a_x + y/2) dy."""
     rho = as_mixed(state)
-    if grid.kind != "phase" or grid.dim != 2 * rho.n:
-        raise ValueError("grid must be phase-space with dim 2n")
-    axis = grid.axis()
-    vals = _rep_on_grid(rho, axis, axis, _aux_grid_lattice(grid), "wigner")
-    vals = vals / (2.0 * np.pi) ** rho.n
+    vals = _rep_on_phase_grid(rho, grid, "wigner") / (2.0 * np.pi) ** rho.n
     tol = reality_tol if rho.is_analytic else max(reality_tol, 0.05)
     resid = np.abs(vals.imag).max()
     if resid > tol * max(1.0, np.abs(vals.real).max()):
@@ -134,10 +133,7 @@ def wigner(state, grid, reality_tol=1e-10):
 def quasichar(state, grid, cross_check=True):
     """tr[rho D_xi] on the grid, cross-checked against the dual route."""
     rho = as_mixed(state)
-    if grid.kind != "phase" or grid.dim != 2 * rho.n:
-        raise ValueError("grid must be phase-space with dim 2n")
-    axis = grid.axis()
-    vals = _rep_on_grid(rho, axis, axis, _aux_grid_lattice(grid), "quasichar")
+    vals = _rep_on_phase_grid(rho, grid, "quasichar")
     fn = PhaseSpaceFn(grid, vals, "quasichar")
     if cross_check:
         dual = symplectic_fourier(wigner(state, grid), "inverse")
@@ -208,17 +204,7 @@ def husimi(state, chi, grid):
 
 def _husimi_residual(fn, rho, chi, points):
     """Worst |Q on the grid - <chi_alpha| rho |chi_alpha>| at lattice points."""
-    return np.abs(husimi_at(fn, points) - matel(rho, chi, points, points).real).max()
-
-
-def husimi_at(fn, points):
-    """Read PhaseSpaceFn values at points that lie on the lattice."""
-    g = fn.grid
-    idx = np.rint((np.asarray(points) + g.half_extent) / g.spacing).astype(int)
-    snapped = -g.half_extent + g.spacing * idx
-    if np.abs(snapped - points).max() > 1e-9:
-        raise ValueError("sample points must lie on the grid lattice")
-    return fn.values[tuple(idx[..., i] for i in range(g.dim))]
+    return np.abs(fn.at(points) - matel(rho, chi, points, points).real).max()
 
 
 def _displaced_overlaps_quadrature(chi, alphas, psi):
@@ -367,19 +353,17 @@ def twisted_convolution(f, g, form, alphas):
     form = _twisted_form(f, g, form)
     alphas = np.asarray(alphas, dtype=float)
     flat = alphas.reshape(-1, gd.dim)
-    beta = _mesh(gd.axis(), gd.dim)
+    beta = gd.points().reshape(-1, gd.dim)
     phase_arg = beta @ form.T  # row b -> form.b evaluated at mesh points
     gvals = np.asarray(g.values).reshape(-1)
+    f.at(flat)  # raises naming the first alpha off the lattice
     n_pts = gd.n_points
-    pad = np.zeros((2 * n_pts,) * gd.dim, dtype=complex)
-    pad[(slice(n_pts // 2, n_pts // 2 + n_pts),) * gd.dim] = f.values
+    pad = np.pad(np.asarray(f.values, dtype=complex), n_pts // 2)
     beta_idx = np.rint((beta + gd.half_extent) / gd.spacing).astype(int)
     out = np.empty(flat.shape[0], dtype=complex)
     for i, a in enumerate(flat):
         phases = np.exp(0.5j * phase_arg @ a)
         ai = np.rint((a + gd.half_extent) / gd.spacing).astype(int)
-        if np.abs(-gd.half_extent + gd.spacing * ai - a).max() > 1e-9:
-            raise ValueError("alpha off the lattice")
         shift = ai[None, :] - beta_idx + n_pts
         fv = pad[tuple(shift[:, k] for k in range(gd.dim))]
         out[i] = (phases * fv * gvals).sum()

@@ -21,8 +21,10 @@ from .grid import (
     DEFAULT_N,
     Grid,
     PhaseSpaceFn,
+    fits_box,
     omega_matrix,
     spectral_derivative,
+    suggest_grid,
     symplectic_form,
     symplectic_fourier,
 )
@@ -40,7 +42,6 @@ from .states import (
 from .transforms import (
     _husimi_residual,
     gaussian_atom_params,
-    husimi_at,
     matel,
     momentum_density,
     momentum_marginal,
@@ -73,12 +74,22 @@ FOUR_D_NODES = 48
 # the twisted-expansion check runs on its own small grid, whatever the suite's
 TWISTED_GRID = Grid(2, 64, 8.0)
 
-# a state fits a box of half width L when its extent plus this margin is <= L
-BOX_MARGIN = 6.0
-
 PLATEAU_P_LO = 4.0
 PLATEAU_P_HI = 10.0
 PLATEAU_N_P = 13
+
+
+@dataclass
+class RunConfig:
+    """`run_suite` settings; threads = 0 sizes the pool by `worker_count`."""
+
+    grid_n: int = DEFAULT_N
+    grid_l: float = DEFAULT_L
+    seed: int = 0
+    band: float = DEFAULT_BAND
+    threads: int = 0
+    out: str = ""
+    tolerances: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -119,19 +130,6 @@ def _context(state, chi=None, grid=None):
     return BoundContext(state, chi, grid)
 
 
-def suggest_grid(state, base_n=DEFAULT_N, base_l=DEFAULT_L):
-    """Grid containing the state: default box unless its extent is larger."""
-    rho = as_mixed(state)
-    need = rho.extent() + BOX_MARGIN
-    if not np.isfinite(need) or need <= base_l:
-        return Grid(2 * rho.n, base_n, base_l)
-    half = 4.0 * np.ceil(need / 4.0)
-    n_pts = base_n
-    while n_pts * base_l < base_n * half:
-        n_pts *= 2
-    return Grid(2 * rho.n, n_pts, half)
-
-
 def _report(name, residual, tol, samples, grid, seed, info=None):
     """One check's report; tol=None reads the check's DEFAULT_TOLERANCES entry."""
     return VerifyReport(
@@ -157,7 +155,7 @@ def check_duality(state, grid=None, tol=None, seed=0):
     w_fn = ctx.w_rho()
     x_fn = quasichar(ctx.rho, grid, cross_check=False)
     dual = symplectic_fourier(x_fn, "forward")
-    mask = grid.interior_mask(DEFAULT_BAND if ctx.band is None else ctx.band)
+    mask = grid.interior_mask(ctx.band)
     resid = np.abs(dual.values - w_fn.values)[mask].max()
     return _report("duality", resid, tol, int(mask.sum()), grid, seed)
 
@@ -350,7 +348,7 @@ def check_wigner_from_matel(
         wx = np.exp(1j * pt[1] * axis)
         wp = np.exp(-1j * pt[0] * axis)
         val = s * s / (2.0 * np.pi) ** 3 * (wx @ g_vals @ wp)
-        ref = husimi_at(w_ref, pt)
+        ref = w_ref.at(pt)
         resid = max(resid, abs(val - ref))
     return _report(
         "wigner-from-matel", resid, tol, len(points), ctx.grid, seed,
@@ -402,7 +400,7 @@ def check_wigner_decomp(
     ).reshape(left.shape)
     totals = np.einsum("j,pja,pja->p", weights, left_k, right)
     totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
-    resid = float(np.abs(totals - husimi_at(ctx.w_rho(), points)).max())
+    resid = float(np.abs(totals - ctx.w_rho().at(points)).max())
     return _report(
         "wigner-decomp", resid, tol, len(points), ctx.grid, seed,
         {"nodes": n_nodes, "spacing": s},
@@ -448,10 +446,7 @@ def check_marginal_pointwise(state, tol=None, seed=0):
 
 
 def _weighted_g_values(g_fn, form, power):
-    axis = g_fn.grid.axis()
-    mesh = np.stack(
-        np.meshgrid(*(axis,) * g_fn.grid.dim, indexing="ij"), -1
-    )
+    mesh = g_fn.grid.points()
     rotated = np.tensordot(mesh, form.T, axes=(-1, 0))
     weight = np.ones(mesh.shape[:-1], dtype=complex)
     for k, pw in enumerate(power):
@@ -479,7 +474,7 @@ def check_twisted_expansion(state, chi=None, tol=None, seed=0, n_samples=25):
     resid = 0.0
     for a in orders:
         a = as_index(a)
-        lhs = husimi_at(spectral_derivative(conv, a), pts)
+        lhs = spectral_derivative(conv, a).at(pts)
         rhs = np.zeros(len(pts), dtype=complex)
         for a_sub in box(a):
             extra = sub(a, a_sub)
@@ -578,7 +573,7 @@ def suite_plan(state, demo=None):
         return ["marginal-pointwise", "plateau-decay"]
     plan = ["duality", "trace", "husimi", "cauchy-schwarz", "marginal"]
     # several checks below run on fixed lattices of about the default box
-    if rho.extent() + BOX_MARGIN <= DEFAULT_L:
+    if fits_box(rho, DEFAULT_L):
         plan += [
             "overlap",
             "offdiag",
@@ -601,13 +596,9 @@ def run_suite(state, chi=None, config=None, demo=None):
     of completion order, so identical inputs yield identical report tables.
     """
     rho = as_mixed(state)
-    grid_n = getattr(config, "grid_n", DEFAULT_N)
-    grid_l = getattr(config, "grid_l", DEFAULT_L)
-    seed = getattr(config, "seed", 0)
-    # only the config's overrides: `_report` resolves tol=None to the default
-    tols = getattr(config, "tolerances", None) or {}
-    grid = suggest_grid(rho, grid_n, grid_l)
-    ctx = BoundContext(rho, chi, grid, band=getattr(config, "band", None))
+    config = RunConfig() if config is None else config
+    grid = suggest_grid(rho, config.grid_n, config.grid_l)
+    ctx = BoundContext(rho, chi, grid, band=config.band)
     plan = suite_plan(rho, demo)
     # built per call, so a check rebound on this module (a tracing wrapper) runs
     state_checks = {
@@ -625,7 +616,8 @@ def run_suite(state, chi=None, config=None, demo=None):
     }
 
     def run_job(name):
-        tol, job_seed = tols.get(name), check_seed(name, seed)
+        # only the config's overrides: `_report` resolves tol=None to the default
+        tol, job_seed = config.tolerances.get(name), check_seed(name, config.seed)
         try:
             if name == "offdiag":
                 return check_offdiag(ctx.chi, tol=tol, seed=job_seed)
@@ -639,7 +631,7 @@ def run_suite(state, chi=None, config=None, demo=None):
                 name, np.inf, 0.0, 0, 0, 0.0, job_seed, {"error": str(exc)}
             )
 
-    n_workers = getattr(config, "threads", 0) or worker_count()
+    n_workers = config.threads or worker_count()
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         if rho.is_analytic:
             # a failed build runs once; each check that needs it records its error

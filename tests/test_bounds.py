@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from phasespace import (
+    Atom,
     BoundContext,
     BoundReport,
     Grid,
+    PureState,
     cauchy_schwarz_reports,
     fock_state,
     offdiag_bound_rhs,
@@ -17,10 +19,11 @@ from phasespace import (
     random_mixture,
     seminorm,
     seminorm_table,
+    suggest_grid,
     vacuum_state,
     wigner,
 )
-from phasespace import bounds
+from phasespace import bounds, transforms
 from phasespace.bounds import chi_seminorm_table, offdiag_loose_rhs, offdiag_tight_rhs
 from phasespace.multiindex import add, add_scalar, order, scale, swap_xp
 from phasespace.transforms import MatelSampler
@@ -172,6 +175,21 @@ def test_offdiag_unknown_variant(monkeypatch):
         offdiag_bound_rhs(vacuum_state(1), Z, Z, [0, 0], [0, 0], "snug")
 
 
+@pytest.fixture
+def no_wigner(monkeypatch):
+    # a default two-mode grid is Grid(4, 256, 12): about 69 GB of W values
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a Wigner transform ran")
+
+    for module in (transforms, bounds):
+        monkeypatch.setattr(module, "wigner", no_transform)
+
+
+def test_chi_table_rejects_two_modes_by_name(no_wigner):
+    with pytest.raises(ValueError, match="n=1, chi has n=2"):
+        chi_seminorm_table(vacuum_state(2), (0,) * 4, (0,) * 4)
+
+
 # --- main bound and Husimi intermediate ------------------------------------
 
 
@@ -278,6 +296,13 @@ def test_lhs_table_matches_direct_seminorm(mixture_ctx):
 def test_context_defaults(mixture_ctx):
     assert mixture_ctx.grid.dim == 2
     assert mixture_ctx.chi.atoms[0].m == (0,)
+
+
+def test_context_default_grid_is_suggested(no_wigner):
+    far = PureState([Atom((0,), (11.5, 0.0), 1.0)])
+    assert BoundContext(far).grid == suggest_grid(far) == Grid(2, 512, 20.0)
+    two_modes = vacuum_state(2)
+    assert BoundContext(two_modes).grid == suggest_grid(two_modes) == Grid(4, 256, 12.0)
 
 
 def test_adopt_chi_tables(mixture):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from phasespace import (
+    Atom,
     Grid,
     MixedState,
+    PureState,
     random_mixture,
     save_state,
     vacuum_state,
@@ -23,13 +25,12 @@ from phasespace import bounds, cli, transforms, verify
 from phasespace.cli import (
     BOUND_HEADER,
     SEMINORM_HEADER,
-    RunConfig,
     export_csv,
     main,
     parse_config,
 )
 from phasespace.transforms import quasichar
-from phasespace.verify import CSV_HEADER, VerifyReport
+from phasespace.verify import CSV_HEADER, RunConfig, VerifyReport
 
 
 def run_cli(*argv):
@@ -247,6 +248,20 @@ def test_bound_check_honours_grid(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()[:-1]
     assert grids == [(256, 12.0), (64, 8.0)]
     assert rows != default_rows
+
+
+def test_bound_check_state_file_gets_the_suggested_box(tmp_path, capsys):
+    # one atom at x = 11.5 needs L = 20; the fixed L = 12 box printed
+    # |W|_{(1,0),(0,0)} = 0.055 where the state's own box gives 3.667
+    path = tmp_path / "far.json"
+    save_state(PureState([Atom((0,), (11.5, 0.0), 1.0)]), path)
+    argv = ("bound-check", "--state", str(path), "--order-cap", "1",
+            "--variant", "theorem")
+    assert run_cli(*argv) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*argv, "--grid", "512,20") == 0
+    assert capsys.readouterr().out == default
+    assert '"1 0","0 0",3.667' in default
 
 
 # --- verify --------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from phasespace import (
     PhaseSpaceFn,
     omega_matrix,
     spectral_derivative,
+    suggest_grid,
     symplectic_form,
     symplectic_fourier,
 )
@@ -136,3 +140,29 @@ def test_phasespacefn_shape_checked():
 
 def test_grid_resolution_error_is_raising():
     assert issubclass(GridResolutionError, Exception)
+
+
+def test_points_is_the_ij_mesh_of_the_axis():
+    g = Grid(4, 8, 2.0)
+    pts = g.points()
+    assert pts.shape == (8, 8, 8, 8, 4)
+    assert pts[1, 2, 3, 4].tolist() == g.axis()[[1, 2, 3, 4]].tolist()
+
+
+def test_at_reads_lattice_values_and_names_points_off_it():
+    g = Grid(2, 64, 8.0)
+    fn = gaussian_fn(g)
+    rows, cols = [3, 40, 0], [5, 0, 63]
+    np.testing.assert_array_equal(fn.at(g.points()[rows, cols]), fn.values[rows, cols])
+    # off the lattice, on its upper end L, and one step below -L
+    for bad in ([0.1, 0.0], [8.0, 0.0], [-8.25, 0.0]):
+        with pytest.raises(ValueError, match=re.escape(f"point {bad} is off the lattice")):
+            fn.at([[0.0, 0.0], bad])
+
+
+def test_suggest_grid_reads_n_and_extent_only():
+    # 11.5 + 1 + BOX_MARGIN = 18.5 -> L = 20, N doubled once to keep the spacing
+    wide = suggest_grid(SimpleNamespace(n=1, extent=lambda: 12.5))
+    assert wide == Grid(2, 512, 20.0) and type(wide.half_extent) is float
+    # extent + BOX_MARGIN == L still fits the base box
+    assert suggest_grid(SimpleNamespace(n=2, extent=lambda: 6.0)) == Grid(4, 256, 12.0)

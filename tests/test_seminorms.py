@@ -209,7 +209,7 @@ def test_table_matches_direct_calls(vacuum_wigner):
 
 def test_report_record_roundtrip():
     report = SeminormReport("decay", ((1, 0), (0, 1)), 0.25, 256, 12.0, 0.1)
-    fields = report.record().split(",")
+    fields = report.row().split(",")
     assert fields[0] == "decay"
     assert fields[1] == '"1 0"'
     assert fields[2] == '"0 1"'
@@ -289,6 +289,16 @@ def test_operator_mixture_singular_value():
     rho = MixedState([0.7, 0.3], [vacuum_state(1), fock_state(1, 1)])
     value = operator_seminorm(rho, (0,), (0,), (0,), (0,))
     assert abs(value - 0.7) < 1e-8
+
+
+def test_operator_default_lattice_holds_a_far_state():
+    # the default line lattice spans the suggest_grid box (L = 20 here); a fixed
+    # [-12, 12) lattice cut this state and gave ||rho|| = 0.755
+    far = PureState([Atom((0,), (11.5, 0.0), 1.0)])
+    assert abs(operator_seminorm(far, (0,), (0,), (0,), (0,)) - 1.0) < 1e-8
+    # ||X D_(11.5, 0)|0>|| = sqrt(11.5^2 + 1/2)
+    value = operator_seminorm(far, (1,), (0,), (0,), (0,))
+    assert abs(value - math.sqrt(11.5**2 + 0.5)) < 1e-8
 
 
 def test_operator_order_cap():

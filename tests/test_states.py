@@ -332,6 +332,32 @@ def test_state_file_order_above_cap_names_the_atom(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize(
+    "atoms, field",
+    [
+        ([((0,), (0.0, 0.0), math.nan)], "coeff"),
+        ([((0,), (0.0, 0.0), 1.0), ((1,), (0.0, 0.0), complex(math.inf, 0.0))], "coeff"),
+        ([((0,), (math.nan, 0.0), 1.0)], "alpha"),
+    ],
+    ids=["nan-coeff", "inf-coeff-beside-finite", "nan-alpha"],
+)
+def test_non_finite_atom_rejected_by_field(atoms, field):
+    # these used to become the zero state, drop every atom, or evaluate to NaN
+    with pytest.raises(ValueError, match=f"non-finite {field}"):
+        PureState([Atom(*atom) for atom in atoms])
+
+
+@pytest.mark.parametrize("field, value", [("coeff", [math.nan, 0]), ("alpha", [0, math.nan])])
+def test_state_file_non_finite_names_the_atom(tmp_path, field, value):
+    path = tmp_path / "nan.json"
+    atom = {"m": [0], "alpha": [0, 0], "coeff": [1, 0]}
+    doc = {"weights": [1.0], "pure_states": [{"atoms": [atom, dict(atom, **{field: value})]}]}
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match=rf"atoms\[1\]: non-finite {field}"):
+        load_state(path)
+
+
 # --- closed-form Wigner values -------------------------------------------------
 
 

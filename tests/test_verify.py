@@ -3,7 +3,6 @@ plus suite planning, seeding, and failure-recording behavior."""
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from phasespace import (
 from phasespace.verify import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
+    RunConfig,
     check_cauchy_schwarz,
     check_seed,
     check_duality,
@@ -45,14 +45,14 @@ from phasespace.verify import (
     worker_count,
 )
 from phasespace import bounds, transforms, verify
-from phasespace.grid import symplectic_form, symplectic_fourier
+from phasespace.grid import omega_matrix, symplectic_form, symplectic_fourier
 from phasespace.states import as_mixed, displaced_overlaps, random_mixture
 from phasespace.transforms import (
     MatelSampler,
     gaussian_atom_params,
-    husimi_at,
     matel,
     quasichar,
+    twisted_convolution,
     wigner,
     wigner_pointwise,
 )
@@ -265,7 +265,7 @@ def test_decomp_matches_pairwise_route(case, n_nodes):
     rho = as_mixed(state)
     grid = Grid(2, 64, 8.0)
     points = grid.spacing * np.array([[0, 0], [4, 0], [-3, 5], [6, -2]])
-    refs = husimi_at(wigner(rho, grid), points)
+    refs = wigner(rho, grid).at(points)
     totals = decomp_pairwise(rho, chi, points, n_nodes)
     # one point per call, so each residual is |decomposition - W_rho| there
     for point, ref, total in zip(points, refs, totals):
@@ -301,7 +301,7 @@ def decomp_dense_kernel_residual(ctx, n_nodes):
     left_k = (left.reshape(-1, mesh.shape[0]) @ kernel).reshape(left.shape)
     totals = np.einsum("j,pja,pja->p", np.asarray(rho.weights), left_k, right)
     totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
-    return float(np.abs(totals - husimi_at(ctx.w_rho(), points)).max())
+    return float(np.abs(totals - ctx.w_rho().at(points)).max())
 
 
 @pytest.mark.parametrize("which", ["vacuum", "fock1", "mixture"])
@@ -433,6 +433,17 @@ def test_suggest_grid_plateau_falls_back():
     assert (g.n_points, g.half_extent) == (256, 12.0)
 
 
+def test_off_lattice_point_named_through_both_lattice_readers():
+    # the grid read of the 4-D checks and the alpha of a twisted convolution
+    grid = Grid(2, 64, 8.0)
+    named = r"point \[0\.1, 0\.0\] is off the lattice"
+    with pytest.raises(ValueError, match=named):
+        check_wigner_decomp(vacuum_state(1), points=[[0.1, 0.0]], grid=grid, n_nodes=12)
+    w_fn = wigner(vacuum_state(1), grid)
+    with pytest.raises(ValueError, match=named):
+        twisted_convolution(w_fn, w_fn, 2.0 * omega_matrix(1), [[0.1, 0.0]])
+
+
 def test_suite_plan_vacuum(vacuum):
     plan = suite_plan(vacuum)
     assert plan[:5] == ["duality", "trace", "husimi", "cauchy-schwarz", "marginal"]
@@ -475,8 +486,8 @@ def test_run_suite_records_failures(vacuum):
 
 
 def test_run_suite_thread_count_invariant(vacuum):
-    rows_a = [r.row() for r in run_suite(vacuum, config=SimpleNamespace(threads=2))]
-    rows_b = [r.row() for r in run_suite(vacuum, config=SimpleNamespace(threads=4))]
+    rows_a = [r.row() for r in run_suite(vacuum, config=RunConfig(threads=2))]
+    rows_b = [r.row() for r in run_suite(vacuum, config=RunConfig(threads=4))]
     assert rows_a == rows_b
 
 
@@ -566,7 +577,7 @@ def test_run_suite_builds_each_wigner_once(monkeypatch):
 
     for module in (transforms, bounds, verify):
         monkeypatch.setattr(module, "wigner", counting_wigner)
-    reports = run_suite(fock_state(1), config=SimpleNamespace(threads=2))
+    reports = run_suite(fock_state(1), config=RunConfig(threads=2))
     assert all(r.passed for r in reports)
     # W_rho and W_chi on the suite grid, the three overlap partners, and
     # W_chi and W_rho on the twisted-expansion check's own 64-point grid
@@ -591,7 +602,7 @@ def test_failed_shared_build_recorded_by_each_check(monkeypatch):
 
     monkeypatch.setattr(bounds, "wigner", failing_wigner)
     # more workers than checks that retry the failed build at once
-    reports = run_suite(rho, config=SimpleNamespace(threads=8))
+    reports = run_suite(rho, config=RunConfig(threads=8))
     assert [r.name for r in reports] == suite_plan(rho)
     for report in reports:
         if report.name in GRID_CHECKS:
@@ -613,7 +624,7 @@ def test_failed_shared_build_runs_once(monkeypatch):
         return real_wigner(state, grid, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "wigner", failing_wigner)
-    reports = run_suite(rho, config=SimpleNamespace(threads=8))
+    reports = run_suite(rho, config=RunConfig(threads=8))
     assert len(builds) == 1
     errors = {r.name: r.info.get("error") for r in reports}
     assert {name: errors[name] for name in GRID_CHECKS} == dict.fromkeys(
@@ -622,7 +633,7 @@ def test_failed_shared_build_runs_once(monkeypatch):
 
 
 def test_suite_band_sets_duality_mask(vacuum, grid):
-    config = SimpleNamespace(threads=2, band=0.2)
+    config = RunConfig(threads=2, band=0.2)
     duality = run_suite(vacuum, config=config)[0]
     assert duality.name == "duality"
     dual = symplectic_fourier(quasichar(vacuum, grid, cross_check=False), "forward")
