@@ -70,9 +70,13 @@ def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
 
     coeffs = fftn(values) of one 2-D sampled function, shared by every
     entry; the interpolant at z is N^-2 sum_k coeffs[k] exp(i w_k . (z + L)).
-    All E entries zoom in lockstep: each round is one (5E x N)(N x N) GEMM
-    along the first axis, one batched contraction along the second, and a
-    vectorised argmax, strict accept test and window update.
+    All E entries zoom in lockstep.  Entries often share window coordinates
+    (a separable function's entries all sit on a few x and y values), so
+    each round builds one basis row per distinct coordinate value, runs the
+    (rows x N)(N x N) GEMM along the first axis on the distinct x values
+    only, gathers the rows back per entry, contracts them against the
+    gathered y rows in one batch, and takes a vectorised argmax, strict
+    accept test and window update.
     """
     n_pts = grid.n_points
     axis = grid.axis()
@@ -80,6 +84,11 @@ def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
     # conjugate of exp(i t): only the lower half of the basis calls exp
     top = n_pts // 2
     freqs = 2.0 * np.pi * np.fft.fftfreq(n_pts, grid.spacing)[: top + 1]
+
+    def basis(values):
+        lower = np.exp(1j * ((values + grid.half_extent)[:, None] * freqs)) / n_pts
+        return np.concatenate([lower, np.conj(lower[:, top - 1 : 0 : -1])], -1)
+
     powers = np.array(decays, dtype=float)[:, :, None]
     best = np.array([value for value, _ in starts], dtype=float)
     centers = np.array([point for _, point in starts], dtype=float)
@@ -88,12 +97,12 @@ def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
     half = grid.spacing
     for _ in range(ZOOM_ROUNDS):
         pts = np.clip(centers[:, :, None] + half * offsets, axis[lo], axis[hi - 1])
-        lower = np.exp(1j * ((pts + grid.half_extent)[..., None] * freqs)) / n_pts
-        basis = np.concatenate([lower, np.conj(lower[..., top - 1 : 0 : -1])], -1)
-        along_x = (basis[:, 0].reshape(-1, n_pts) @ coeffs).reshape(
-            len(best), ZOOM_POINTS, n_pts
-        )
-        vals = np.abs(np.einsum("eik,ejk->eij", along_x, basis[:, 1]))
+        # the basis reads only v + L, so +0 and -0 may share a row
+        xs, x_of = np.unique(pts[:, 0].ravel(), return_inverse=True)
+        ys, y_of = np.unique(pts[:, 1].ravel(), return_inverse=True)
+        along_x = (basis(xs) @ coeffs)[x_of.reshape(-1, ZOOM_POINTS)]
+        along_y = basis(ys)[y_of.reshape(-1, ZOOM_POINTS)]
+        vals = np.abs(np.einsum("eik,ejk->eij", along_x, along_y))
         weight = np.abs(pts) ** powers
         vals = vals * (weight[:, 0, :, None] * weight[:, 1, None, :])
         flat = vals.reshape(len(best), -1).argmax(axis=1)

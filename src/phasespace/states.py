@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import symplectic_form
+from .multiindex import as_index
 
 
 # phi_0 = pi^-1/4 e^{-y^2/2} goes subnormal past |y| = 37.6 and 0 past 38.6,
@@ -99,9 +100,9 @@ class PureState:
         n = atoms[0].n
         if any(at.n != n for at in atoms):
             raise ValueError("all atoms must share the number of axes")
-        self.atoms = _merge(atoms)
-        if not self.atoms:  # everything cancelled; keep an explicit zero
-            self.atoms = [Atom(atoms[0].m, atoms[0].alpha, 0.0)]
+        # a tuple, so the lazily built tables below cannot go stale;
+        # if everything cancelled, keep an explicit zero
+        self.atoms = tuple(_merge(atoms)) or (Atom(atoms[0].m, atoms[0].alpha, 0.0),)
         self._n = n
 
     @property
@@ -139,7 +140,7 @@ class PureState:
         products share displacements), the distinct displacements (2n, S),
         the orders (n, atoms), the largest order per axis and the coefficients.
         Built lazily, since most intermediate ladder states are never
-        evaluated; the atoms do not change after __init__."""
+        evaluated; the atoms tuple does not change after __init__."""
         shifts = {}
         which = np.array(
             [shifts.setdefault(at.alpha, len(shifts)) for at in self.atoms]
@@ -200,17 +201,27 @@ class PureState:
         return self._ladder(axis, lambda alpha: alpha[axis], 1.0)
 
     def weighted_derivative(self, a, b):
-        """x^a d^b psi with configuration multi-indices a, b (length n)."""
+        """x^a d^b psi with configuration multi-indices a, b (length n),
+        built on the first call for each (a, b) and kept with the state.
+        Two threads racing on one (a, b) build equal states; either is kept."""
+        a, b = as_index(a), as_index(b)
         if len(a) != self.n or len(b) != self.n:
             raise ValueError("indices must have length n")
-        state = self
-        for axis, bi in enumerate(b):
-            for _ in range(int(bi)):
-                state = state.derivative(axis)
-        for axis, ai in enumerate(a):
-            for _ in range(int(ai)):
-                state = state.times_coordinate(axis)
-        return state
+        if (a, b) not in self._weighted_derivatives:
+            state = self
+            for axis, bi in enumerate(b):
+                for _ in range(bi):
+                    state = state.derivative(axis)
+            for axis, ai in enumerate(a):
+                for _ in range(ai):
+                    state = state.times_coordinate(axis)
+            self._weighted_derivatives[(a, b)] = state
+        return self._weighted_derivatives[(a, b)]
+
+    @functools.cached_property
+    def _weighted_derivatives(self):
+        """{(a, b): x^a d^b psi} filled by `weighted_derivative`."""
+        return {}
 
     def norm(self):
         return math.sqrt(max(pure_overlap(self, self).real, 0.0))

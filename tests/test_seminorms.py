@@ -6,6 +6,7 @@ the explicit densities), never read back from the module under test.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from phasespace import (
     Atom,
+    BoundContext,
     Grid,
     GridResolutionError,
     MixedState,
@@ -36,7 +38,7 @@ from phasespace import (
 )
 from phasespace.grid import DEFAULT_BAND, derivative_coefficients
 from phasespace.multiindex import box, monomial
-from phasespace.seminorms import _kernel_lattice_peak
+from phasespace.seminorms import _kernel_lattice_peak, _lattice_sup, _seminorm_entries
 from phasespace.states import as_mixed, random_mixture, wigner_values
 from phasespace.verify import heavy_tail_first_seminorms
 
@@ -177,6 +179,103 @@ def test_table_matches_per_entry_zoom(which, grid, mixtures20):
             for a in box(a_max):
                 expected = _oracle_entry(values, coeffs, grid, a, lo, hi)
                 assert abs(table[(a, b)] - expected) <= 1e-13 * expected, (a, b)
+
+
+def _per_entry_zoom_sups(coeffs, grid, decays, starts, lo, hi):
+    # the zoom before it shared rows: one basis row per entry and window
+    # point, and one (5E x N)(N x N) GEMM per round
+    n_pts = grid.n_points
+    axis = grid.axis()
+    top = n_pts // 2
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n_pts, grid.spacing)[: top + 1]
+    powers = np.array(decays, dtype=float)[:, :, None]
+    best = np.array([value for value, _ in starts], dtype=float)
+    centers = np.array([point for _, point in starts], dtype=float)
+    rows = np.arange(len(best))
+    offsets = np.linspace(-1.0, 1.0, 5)
+    half = grid.spacing
+    for _ in range(6):
+        pts = np.clip(centers[:, :, None] + half * offsets, axis[lo], axis[hi - 1])
+        lower = np.exp(1j * ((pts + grid.half_extent)[..., None] * freqs)) / n_pts
+        basis = np.concatenate([lower, np.conj(lower[..., top - 1 : 0 : -1])], -1)
+        along_x = (basis[:, 0].reshape(-1, n_pts) @ coeffs).reshape(len(best), 5, n_pts)
+        vals = np.abs(np.einsum("eik,ejk->eij", along_x, basis[:, 1]))
+        weight = np.abs(pts) ** powers
+        vals = vals * (weight[:, 0, :, None] * weight[:, 1, None, :])
+        flat = vals.reshape(len(best), -1).argmax(axis=1)
+        i, j = np.divmod(flat, 5)
+        peak = vals[rows, i, j]
+        better = peak > best
+        best = np.where(better, peak, best)
+        centers[better] = np.stack([pts[rows, 0, i], pts[rows, 1, j]], -1)[better]
+        half /= 3.0
+    return best
+
+
+def _per_entry_table(fn, pairs, band):
+    # _seminorm_entries with the per-entry zoom: same lattice starts
+    grid = fn.grid
+    lo, hi = grid.interior_range(band)
+    hat = np.fft.fftn(fn.values)
+    table = {}
+    for b in dict.fromkeys(b for _, b in pairs):
+        decays = [a for a, b_entry in pairs if b_entry == b]
+        coeffs = derivative_coefficients(hat, grid, b)
+        deriv = np.fft.ifftn(coeffs) if any(b) else fn.values
+        abs_vals = np.abs(deriv[lo:hi, lo:hi])
+        starts = [_lattice_sup(abs_vals, grid, a, lo, hi) for a in decays]
+        values = _per_entry_zoom_sups(coeffs, grid, decays, starts, lo, hi)
+        table.update({(a, b): float(v) for a, v in zip(decays, values)})
+    return table
+
+
+def _decay_pairs(cap):
+    return [(a, Z) for a in box(cap)]
+
+
+@pytest.mark.parametrize(
+    "which, pairs",
+    [
+        ("vacuum", _decay_pairs((14, 14))),
+        ("mixture", _decay_pairs((12, 12))),
+        ("mixture", BoundContext(vacuum_state(1), max_total_order=4).index_pairs()),
+    ],
+    ids=["vacuum-decay-14", "mixture-decay-12", "mixture-order-cap-4"],
+)
+def test_shared_row_zoom_matches_per_entry_zoom(which, pairs, grid, vacuum_wigner):
+    fn = vacuum_wigner if which == "vacuum" else wigner(
+        random_mixture(np.random.default_rng(3)), grid
+    )
+    table = _seminorm_entries(fn, pairs)
+    assert len(table) == len(pairs)
+    assert table == _per_entry_table(fn, pairs, DEFAULT_BAND)
+
+
+def test_shared_row_zoom_matches_per_entry_zoom_at_box_edge():
+    # with no band, rounding noise times |x|^a |p|^b peaks in the corners,
+    # where the windows clip and several of their points coincide
+    grid = Grid(2, 64, 6.0)
+    fn = wigner(vacuum_state(1).displaced(np.array([4.5, -1.0])), grid)
+    pairs = _decay_pairs((14, 14))
+    lo, hi = grid.interior_range(0.0)
+    abs_vals = np.abs(fn.values)
+    edge = grid.axis()[[0, -1]]
+    starts = [_lattice_sup(abs_vals, grid, a, lo, hi)[1] for a, _ in pairs]
+    assert any(np.isin(point, edge).any() for point in starts)
+    assert _seminorm_entries(fn, pairs, band=0.0) == _per_entry_table(fn, pairs, 0.0)
+
+
+def test_decay_table_peak_memory():
+    fn = wigner(random_mixture(np.random.default_rng(1)), Grid(2, 256, 12.0))
+    tracemalloc.start()
+    try:
+        seminorm_table(fn, (14, 14), Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one basis row per distinct coordinate: the per-entry zoom peaked
+    # near 34 MB here
+    assert peak < 24e6
 
 
 def test_seminorm_rejects_high_derivative(vacuum_wigner):
@@ -506,6 +605,26 @@ def test_weighted_components_built_once_per_call(monkeypatch):
     built.clear()
     joint_seminorm(comps, (2,), (1,))
     assert len(built) == len(comps)
+
+
+def test_envelope_builds_each_weighted_component_once(monkeypatch):
+    rho = random_mixture(np.random.default_rng(5), n_components=3)
+    steps = []
+    ladder = PureState._ladder
+
+    def counting(self, axis, diag, sign):
+        steps.append(axis)
+        return ladder(self, axis, diag, sign)
+
+    monkeypatch.setattr(PureState, "_ladder", counting)
+    quads = list(itertools.product(C12_INDICES, repeat=4))
+    first = [kernel_seminorm(rho, *quad) for quad in quads]
+    # each of the 9 distinct (a, b) is built once per component, in
+    # |a| + |b| ladder steps, where 81 entries used to build 162
+    once = sum(a[0] + b[0] for a in C12_INDICES for b in C12_INDICES)
+    assert len(steps) == once * len(rho.pure_states)
+    assert [kernel_seminorm(rho, *quad) for quad in quads] == first
+    assert len(steps) == once * len(rho.pure_states)
 
 
 # --- the pruned kernel lattice search against the dense product --------------

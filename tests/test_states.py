@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -731,3 +732,45 @@ def test_evaluate_one_point_and_bad_shape():
     assert value == psi.evaluate(np.array([[0.3]]))[0]
     with pytest.raises(ValueError, match="last axis must be 1"):
         psi.evaluate(np.zeros((4, 2)))
+
+
+def uncached_weighted_derivative(psi, a, b):
+    """x^a d^b psi by the reference ladder copies, one step at a time."""
+    state = psi
+    for axis, bi in enumerate(b):
+        for _ in range(bi):
+            state = derivative_copy(state, axis)
+    for axis, ai in enumerate(a):
+        for _ in range(ai):
+            state = times_coordinate_copy(state, axis)
+    return state
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_weighted_derivative_kept_per_index_pair(n):
+    psi = random_pure_state(np.random.default_rng(7), n_atoms=4, n=n)
+    pairs = [
+        (a, b)
+        for a in itertools.product(range(3), repeat=n)
+        for b in itertools.product(range(3), repeat=n)
+    ]
+    for a, b in pairs:
+        got = psi.weighted_derivative(a, b)
+        assert got is psi.weighted_derivative(list(a), np.array(b))
+        assert got.atoms == uncached_weighted_derivative(psi, a, b).atoms
+    assert psi.weighted_derivative((0,) * n, (0,) * n) is psi
+
+
+def test_weighted_derivative_rejects_bad_indices():
+    psi = vacuum_state(1)
+    with pytest.raises(ValueError, match="length n"):
+        psi.weighted_derivative((1, 0), (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        psi.weighted_derivative((-1,), (0,))
+
+
+def test_atoms_cannot_change_after_init():
+    psi = random_pure_state(np.random.default_rng(2), n_atoms=3)
+    with pytest.raises(AttributeError):
+        psi.atoms.append(Atom((0,), (0.0, 0.0), 1.0))
+    assert isinstance(psi.plus(vacuum_state(1)).atoms, tuple)
