@@ -20,17 +20,19 @@ from .grid import (
     suggest_grid,
 )
 from .multiindex import as_index, box, order
-from .states import as_mixed
+from .states import as_mixed, evaluate_components
 
 OPERATOR_ORDER_CAP = 8
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 5
 ZOOM_SHRINK = 3.0
-# the kernel lattice is read in row blocks of this size; each row's
-# Cauchy-Schwarz bound is inflated by the relative margin, which covers the
-# rounding of a K-term complex dot product and of the two norms for K up
-# to a few thousand components, plus the floor, far above the absolute
-# rounding of subnormal products
+# kernel_seminorm's lattice has _KERNEL_LATTICE_POINTS points per axis and
+# is read in blocks of _KERNEL_ROW_BLOCK rows; each row's Cauchy-Schwarz
+# bound is inflated by the relative margin, which covers the rounding of a
+# K-term complex dot product and of the two norms for K up to a few
+# thousand components, plus the floor, far above the absolute rounding of
+# subnormal products
+_KERNEL_LATTICE_POINTS = 1024
 _KERNEL_ROW_BLOCK = 64
 _KERNEL_BOUND_MARGIN = 1e-12
 _KERNEL_BOUND_FLOOR = 1e-300
@@ -144,27 +146,60 @@ def _zoom_max(values_on, lattice, width, n_local, rounds=ZOOM_ROUNDS):
     return _zoom_windows(values_on, best, centers, width, n_local, rounds)
 
 
-def _lattice_sup(abs_vals, grid, a, lo, hi):
-    """Weighted lattice sup of the band-sliced |values| and its point."""
-    weighted = abs_vals
-    axis = np.abs(grid.axis()[lo:hi])
-    for ax, power in enumerate(a):
-        if power:
-            shape = [1] * grid.dim
-            shape[ax] = axis.size
-            weighted = weighted * (axis**power).reshape(shape)
-    flat = int(np.argmax(weighted))
-    idx = np.unravel_index(flat, weighted.shape)
-    point = tuple(grid.axis()[lo + idx[ax]] for ax in range(grid.dim))
-    return float(weighted[idx]), point
+def _lattice_sups(abs_vals, grid, decays, lo, hi):
+    """[(sup, point)] of |z^a| |F| on the band lattice for each a in decays,
+    abs_vals = |F| on the band; point is the lattice argmax on 2-D grids
+    (ties to the first index in C order, as np.argmax) and None otherwise.
+
+    The weight prod_k |z_k|^{a_k} is applied in axis order, and rounding is
+    monotone, so the max over axis 0 commutes with the later factors: the
+    separable max-product pass of Felzenszwalb and Huttenlocher (2012).
+    Each distinct prefix (a_0..a_k) weighs the reduction of (a_0..a_k-1)
+    along axis k and takes the max over that axis, once.  On 2-D grids the point
+    comes from a rescan of the columns j whose weighted column max equals
+    the sup: the smallest row whose weighted value equals it, then the
+    smallest such j.  Whole columns are rescanned, since rounding is
+    nondecreasing but not strictly increasing.
+    """
+    axis = grid.axis()[lo:hi]
+    powers = {p: np.abs(axis) ** p for a in decays for p in a if p}
+    sups = {}
+
+    def sweep(vals, group, above):
+        # vals is the max over axes 0..k-1 of `above`, the weighted array one
+        # level up; each distinct a_k weighs axis k and reduces it
+        k = grid.dim - vals.ndim
+        by_power = {}
+        for a in group:
+            by_power.setdefault(a[k], []).append(a)
+        for power, same in by_power.items():
+            weighted = vals
+            if power:
+                shape = (-1,) + (1,) * (vals.ndim - 1)
+                weighted = vals * powers[power].reshape(shape)
+            if weighted.ndim > 1:
+                sweep(weighted.max(axis=0), same, weighted)
+                continue
+            value, point = weighted.max(), None
+            if grid.dim == 2:
+                cols = np.flatnonzero(weighted == value)
+                rescan = above[:, cols]
+                if power:
+                    rescan = rescan * powers[power][cols]
+                i, j = np.unravel_index(int(np.argmax(rescan)), rescan.shape)
+                point = (axis[i], axis[cols[j]])
+            sups[same[0]] = (float(value), point)
+
+    sweep(abs_vals, decays, None)
+    return [sups[a] for a in decays]
 
 
 def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
     """{(a, b): |F|_{a,b}} for each (a, b) in pairs, sup over the interior band.
 
-    F is transformed once; each distinct b costs one inverse transform for
-    the lattice sup, and its entries zoom together on the derivative
-    coefficients.
+    F is transformed once; each distinct b costs one inverse transform and
+    one axis-by-axis lattice pass (`_lattice_sups`) for all its entries,
+    which on 2-D grids then zoom together on the derivative coefficients.
     """
     grid = fn.grid
     lo, hi = grid.interior_range(band)
@@ -179,7 +214,7 @@ def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
         coeffs = derivative_coefficients(hat, grid, b)
         deriv = np.fft.ifftn(coeffs) if any(b) else fn.values
         abs_vals = np.abs(deriv[(slice(lo, hi),) * grid.dim])
-        starts = [_lattice_sup(abs_vals, grid, a, lo, hi) for a in decays]
+        starts = _lattice_sups(abs_vals, grid, decays, lo, hi)
         if refine and grid.dim == 2:
             values = _zoom_sups(coeffs, grid, decays, starts, lo, hi)
         else:
@@ -231,6 +266,8 @@ def joint_seminorm(states, a, b):
     if any(not ps.is_analytic for ps in states):
         raise ValueError("jointly-Schwartz seminorm needs analytic states")
     n = states[0].n
+    if any(ps.n != n for ps in states):
+        raise ValueError("all states must share the number of axes")
     if n != 1:
         raise ValueError("joint seminorm implemented for n=1")
     a = _index_for(a, n)
@@ -238,7 +275,7 @@ def joint_seminorm(states, a, b):
     weighted = [ps.weighted_derivative(a, b) for ps in states]
 
     def sq_sum(xs):
-        return sum(np.abs(g.evaluate(xs[:, None])) ** 2 for g in weighted)
+        return sum(np.abs(evaluate_components(weighted, xs[:, None])) ** 2)
 
     half = max(ps.reach() for ps in states) + order(a) + order(b)
     xs = np.linspace(-half, half, 4096)
@@ -254,7 +291,14 @@ def scaled_components(state):
 
 
 def kernel_seminorm(state, a, b, c, d):
-    """sup_{x,y} |x^a y^c (d_x^b d_y^d K)(x,y)| for an analytic mixture."""
+    """sup_{x,y} |x^a y^c (d_x^b d_y^d K)(x,y)| for an analytic mixture.
+
+    The lattice is linspace(-half, half, 1024) with half = reach + |a| +
+    |b| + |c| + |d|, so the entries of an envelope share their component
+    rows: both sides read the rows `_kernel_rows` keeps per weighted
+    derivative and half.  Each zoom window evaluates all components of a
+    side in one `evaluate_components` call.
+    """
     rho = as_mixed(state)
     if rho.n != 1:
         raise ValueError("kernel seminorm implemented for n=1")
@@ -269,20 +313,31 @@ def kernel_seminorm(state, a, b, c, d):
     left = [ps.weighted_derivative(a, b) for ps in rho.pure_states]
     right = [ps.weighted_derivative(c, d) for ps in rho.pure_states]
 
-    def scaled_left(xs):
-        return lam * np.stack([f.evaluate(xs[:, None]) for f in left])
-
-    def conj_right(ys):
-        return np.conj(np.stack([g.evaluate(ys[:, None]) for g in right]))
-
     def values_on(xs, ys):
-        return np.abs(scaled_left(xs).T @ conj_right(ys))
+        rows_f = lam * evaluate_components(left, xs[:, None])
+        return np.abs(rows_f.T @ np.conj(evaluate_components(right, ys[:, None])))
 
-    xs = np.linspace(-half, half, 1024)
+    xs = np.linspace(-half, half, _KERNEL_LATTICE_POINTS)
     best, centers = _kernel_lattice_peak(
-        scaled_left(xs), conj_right(xs), xs, (a, b, c, d)
+        lam * _kernel_rows(left, half),
+        np.conj(_kernel_rows(right, half)),
+        xs,
+        (a, b, c, d),
     )
     return _zoom_windows(values_on, best, centers, xs[1] - xs[0], 17)
+
+
+def _kernel_rows(weighted, half):
+    """(K, 1024) values of the weighted components on linspace(-half, half,
+    1024), evaluated together on the first call for each half and kept in
+    each component's `kernel_rows`, so an 81-entry envelope evaluates its
+    45 distinct (index pair, half) rows once; the rows are raw, and each
+    call scales or conjugates its own copy."""
+    if any(half not in g.kernel_rows for g in weighted):
+        xs = np.linspace(-half, half, _KERNEL_LATTICE_POINTS)
+        for g, row in zip(weighted, evaluate_components(weighted, xs[:, None])):
+            g.kernel_rows[half] = row
+    return np.stack([g.kernel_rows[half] for g in weighted])
 
 
 def _kernel_lattice_peak(rows_f, cols_g, xs, indices):

@@ -114,28 +114,14 @@ class PureState:
         return True
 
     def evaluate(self, points):
-        """psi at points (..., n), or at one point (n,), all atoms at once:
-        one hermite_values call per axis up to its largest order, on each
-        distinct displacement once; each term coeff prod_i e^{i(y_i -
-        a_x,i/2) a_p,i} phi_{m_i}(y_i - a_x,i) is multiplied in axis order
-        and the terms are added in atom order."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[-1] != self.n:
-            raise ValueError(f"points last axis must be {self.n}")
-        which, alpha, orders, top, coeffs = self._evaluate_tables
-        lead = (-1,) + (1,) * (pts.ndim - 1)  # atoms first, then the points
-        alpha = alpha.reshape(2 * self.n, *lead)
-        terms = coeffs.reshape(lead)
-        for i in range(self.n):
-            y, ax, ap = pts[..., i], alpha[i], alpha[self.n + i]
-            phi = hermite_values(top[i], y - ax)[orders[i], which]
-            terms = terms * np.exp(1j * (y - 0.5 * ax) * ap)[which] * phi
-        val = sum(terms[1:], start=terms[0])
+        """psi at points (..., n), or at one point (n,): `_atom_sums` of
+        this state alone (`evaluate_components` evaluates several at once)."""
+        (val,) = _atom_sums(self._evaluate_tables, points, [len(self.atoms)])
         return val[0] if np.ndim(points) == 1 and val.shape == (1,) else val
 
     @functools.cached_property
     def _evaluate_tables(self):
-        """(which, alpha, orders, top, coeffs) for `evaluate`, built on the
+        """(which, alpha, orders, top, coeffs) for `_atom_sums`, built on the
         first call: the displacement index of each atom (derivatives and
         products share displacements), the distinct displacements (2n, S),
         the orders (n, atoms), the largest order per axis and the coefficients.
@@ -223,6 +209,13 @@ class PureState:
         """{(a, b): x^a d^b psi} filled by `weighted_derivative`."""
         return {}
 
+    @functools.cached_property
+    def kernel_rows(self):
+        """{half: psi on linspace(-half, half, 1024)}, the kernel lattice
+        rows that `seminorms.kernel_seminorm` fills and keeps with each
+        weighted derivative."""
+        return {}
+
     def norm(self):
         return math.sqrt(max(pure_overlap(self, self).real, 0.0))
 
@@ -254,6 +247,70 @@ class PureState:
             max(abs(v) for v in at.alpha) + math.sqrt(2 * max(at.m) + 1)
             for at in self.atoms
         )
+
+
+def _atom_sums(tables, points, ends):
+    """One sum of atom terms per state, at points (..., n) or (n,).
+
+    tables are `_evaluate_tables` (which, alpha, orders, top, coeffs) of
+    one or more states laid end to end, state k owning the atoms before
+    ends[k]: one hermite_values call (up to the largest order) and one
+    phase per axis, on each displacement column once.  Each state then
+    multiplies its terms coeff prod_i e^{i(y_i - a_x,i/2) a_p,i}
+    phi_{m_i}(y_i - a_x,i) in axis order and adds them in atom order, on
+    arrays of its own size: numpy computes a large product in place into
+    its right-hand temporary, which swaps the operands of a complex
+    multiply, and that can move the last bit with the array's size."""
+    which, alpha, orders, top, coeffs = tables
+    n = len(top)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != n:
+        raise ValueError(f"points last axis must be {n}")
+    lead = (-1,) + (1,) * (pts.ndim - 1)  # atoms first, then the points
+    alpha = alpha.reshape(2 * n, *lead)
+    parts = [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]
+    terms = [coeffs[part].reshape(lead) for part in parts]
+    for i in range(n):
+        y, ax, ap = pts[..., i], alpha[i], alpha[n + i]
+        hermite = hermite_values(top[i], y - ax)
+        phis = [hermite[orders[i, part], which[part]] for part in parts]
+        # freed before the phase is allocated: large evaluations are bound
+        # by fresh pages
+        del hermite
+        phase = np.exp(1j * (y - 0.5 * ax) * ap)
+        terms = [
+            t * phase[which[part]] * phi for t, part, phi in zip(terms, parts, phis)
+        ]
+    return [sum(t[1:], start=t[0]) for t in terms]
+
+
+def evaluate_components(states, points):
+    """(K, ...) array of psi_1..psi_K at points (..., n), or (K,) at one
+    point (n,), for one or more analytic states sharing n.
+
+    The states' `_evaluate_tables` are laid end to end, so one
+    hermite_values call per axis serves them all, and every value sees the
+    float operations of its own state's `evaluate`."""
+    states = list(states)
+    if any(ps.n != states[0].n for ps in states):
+        raise ValueError("all states must share the number of axes")
+    if len(states) == 1:
+        # one state needs no joined table: it is its own `evaluate`
+        return states[0].evaluate(points)[None]
+    whiches, alphas, orders, tops, coeffs = zip(
+        *(ps._evaluate_tables for ps in states)
+    )
+    offsets = np.cumsum([0] + [alpha.shape[1] for alpha in alphas[:-1]])
+    joined = (
+        np.concatenate([which + k for which, k in zip(whiches, offsets)]),
+        np.concatenate(alphas, axis=1),
+        np.concatenate(orders, axis=1),
+        [max(top) for top in zip(*tops)],
+        np.concatenate(coeffs),
+    )
+    ends = np.cumsum([len(ps.atoms) for ps in states]).tolist()
+    vals = np.stack(_atom_sums(joined, points, ends))
+    return vals[:, 0] if np.ndim(points) == 1 else vals
 
 
 class PlateauState:

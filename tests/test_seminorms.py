@@ -38,7 +38,12 @@ from phasespace import (
 )
 from phasespace.grid import DEFAULT_BAND, derivative_coefficients
 from phasespace.multiindex import box, monomial
-from phasespace.seminorms import _kernel_lattice_peak, _lattice_sup, _seminorm_entries
+import phasespace.seminorms as seminorms_module
+from phasespace.seminorms import (
+    _kernel_lattice_peak,
+    _lattice_sups,
+    _seminorm_entries,
+)
 from phasespace.states import as_mixed, random_mixture, wigner_values
 from phasespace.verify import heavy_tail_first_seminorms
 
@@ -212,6 +217,21 @@ def _per_entry_zoom_sups(coeffs, grid, decays, starts, lo, hi):
     return best
 
 
+def _lattice_sup(abs_vals, grid, a, lo, hi):
+    """Weighted lattice sup of the band-sliced |values| and its point."""
+    weighted = abs_vals
+    axis = np.abs(grid.axis()[lo:hi])
+    for ax, power in enumerate(a):
+        if power:
+            shape = [1] * grid.dim
+            shape[ax] = axis.size
+            weighted = weighted * (axis**power).reshape(shape)
+    flat = int(np.argmax(weighted))
+    idx = np.unravel_index(flat, weighted.shape)
+    point = tuple(grid.axis()[lo + idx[ax]] for ax in range(grid.dim))
+    return float(weighted[idx]), point
+
+
 def _per_entry_table(fn, pairs, band):
     # _seminorm_entries with the per-entry zoom: same lattice starts
     grid = fn.grid
@@ -276,6 +296,59 @@ def test_decay_table_peak_memory():
     # one basis row per distinct coordinate: the per-entry zoom peaked
     # near 34 MB here
     assert peak < 24e6
+
+
+def _band_abs_values(fn, b, band):
+    grid = fn.grid
+    lo, hi = grid.interior_range(band)
+    coeffs = derivative_coefficients(np.fft.fftn(fn.values), grid, b)
+    deriv = np.fft.ifftn(coeffs) if any(b) else fn.values
+    return np.abs(deriv[(slice(lo, hi),) * grid.dim]), lo, hi
+
+
+@pytest.mark.parametrize(
+    "state, b, band",
+    [(fock_state(m), Z, DEFAULT_BAND) for m in range(4)]
+    + [
+        (random_mixture(np.random.default_rng(4)), b, DEFAULT_BAND)
+        for b in [Z, (1, 0), (0, 2), (1, 1)]
+    ]
+    + [(fock_state(1), Z, 0.0)],
+    ids=[f"fock{m}" for m in range(4)]
+    + [f"mixture-b{b[0]}{b[1]}" for b in [Z, (1, 0), (0, 2), (1, 1)]]
+    + ["fock1-band0"],
+)
+def test_lattice_sups_match_per_entry_lattice_sup(state, b, band, grid):
+    # Fock states have exact mirror ties, which np.argmax breaks in C order
+    fn = wigner(as_mixed(state), grid)
+    abs_vals, lo, hi = _band_abs_values(fn, b, band)
+    decays = list(box((14, 14)))
+    expected = [_lattice_sup(abs_vals, grid, a, lo, hi) for a in decays]
+    assert _lattice_sups(abs_vals, grid, decays, lo, hi) == expected
+
+
+def test_lattice_sups_match_per_entry_lattice_sup_at_box_edge():
+    grid = Grid(2, 64, 6.0)
+    fn = wigner(vacuum_state(1).displaced(np.array([4.5, -1.0])), grid)
+    abs_vals, lo, hi = _band_abs_values(fn, Z, 0.0)
+    decays = list(box((14, 14)))
+    expected = [_lattice_sup(abs_vals, grid, a, lo, hi) for a in decays]
+    edge = grid.axis()[[0, -1]]
+    assert any(np.isin(point, edge).any() for _, point in expected)
+    assert _lattice_sups(abs_vals, grid, decays, lo, hi) == expected
+
+
+def test_lattice_sups_match_per_entry_on_a_two_mode_decay_table():
+    # every entry of a cap (8, 8, 8, 8) table: 6561 maxima over a 26^4 band
+    grid = Grid(4, 32, 8.0)
+    fn = wigner(random_mixture(np.random.default_rng(2), n=2), grid)
+    abs_vals, lo, hi = _band_abs_values(fn, (0, 0, 0, 0), DEFAULT_BAND)
+    decays = list(box((8, 8, 8, 8)))
+    sups = _lattice_sups(abs_vals, grid, decays, lo, hi)
+    assert [value for value, _ in sups] == [
+        _lattice_sup(abs_vals, grid, a, lo, hi)[0] for a in decays
+    ]
+    assert {point for _, point in sups} == {None}
 
 
 def test_seminorm_rejects_high_derivative(vacuum_wigner):
@@ -348,6 +421,11 @@ def test_joint_rejects_non_analytic():
 
     with pytest.raises(ValueError, match="analytic"):
         joint_seminorm([demo_state("plateau")], (0,), (0,))
+
+
+def test_joint_refuses_mixed_axis_family():
+    with pytest.raises(ValueError, match="share the number of axes"):
+        joint_seminorm([vacuum_state(1), vacuum_state(2)], (0,), (0,))
 
 
 # --- operator sandwich seminorm -------------------------------------------
@@ -625,6 +703,45 @@ def test_envelope_builds_each_weighted_component_once(monkeypatch):
     assert len(steps) == once * len(rho.pure_states)
     assert [kernel_seminorm(rho, *quad) for quad in quads] == first
     assert len(steps) == once * len(rho.pure_states)
+
+
+def test_envelope_evaluates_each_kernel_row_once(monkeypatch):
+    rho = random_mixture(np.random.default_rng(5), n_components=3)
+    lattice, windows = [], []
+    evaluate_components = seminorms_module.evaluate_components
+
+    def counting(states, points):
+        calls = lattice if len(points) == 1024 else windows
+        calls.append((tuple(map(id, states)), float(points[-1, 0])))
+        return evaluate_components(states, points)
+
+    monkeypatch.setattr(seminorms_module, "evaluate_components", counting)
+    quads = list(itertools.product(C12_INDICES, repeat=4))
+    first = [kernel_seminorm(rho, *quad) for quad in quads]
+    # 9 index pairs, each on the lattices of 5 halves reach + 0..4 (the other
+    # side's order), shared by both sides: 45 rows, where one per side and
+    # entry made 162; each zoom round evaluates each side's 3 components once
+    assert len(lattice) == len(set(lattice)) == 45
+    assert len(windows) == 2 * 6 * len(quads)
+    assert {len(states) for states, _ in lattice + windows} == {3}
+    lattice.clear()
+    assert [kernel_seminorm(rho, *quad) for quad in quads] == first
+    assert lattice == []
+
+
+def test_joint_seminorm_reads_no_kernel_rows(monkeypatch):
+    # c12 compares the kernel sup with a product of joint seminorms; the
+    # joint side evaluates scaled_components, new states, on its own lattice
+    rho = random_mixture(np.random.default_rng(5), n_components=3)
+    kernel_seminorm(rho, (1,), (2,), (1,), (2,))
+
+    def refuse(weighted, half):
+        raise AssertionError("joint_seminorm read kernel rows")
+
+    monkeypatch.setattr(seminorms_module, "_kernel_rows", refuse)
+    comps = scaled_components(rho)
+    assert joint_seminorm(comps, (1,), (2,)) == _oracle_joint(comps, (1,), (2,))
+    assert all(not ps.weighted_derivative((1,), (2,)).kernel_rows for ps in comps)
 
 
 # --- the pruned kernel lattice search against the dense product --------------

@@ -31,6 +31,7 @@ from phasespace.states import (
     HERMITE_MAX_ORDER,
     _factorial_ratio_sqrt,
     _genlaguerre,
+    evaluate_components,
     hermite_values,
     pure_overlap,
     quasichar_values,
@@ -774,3 +775,44 @@ def test_atoms_cannot_change_after_init():
     with pytest.raises(AttributeError):
         psi.atoms.append(Atom((0,), (0.0, 0.0), 1.0))
     assert isinstance(psi.plus(vacuum_state(1)).atoms, tuple)
+
+
+def component_family(n):
+    # shared displacements (a weighted derivative of the first state), a
+    # higher top order, and a state whose atoms cancel to an explicit zero
+    rng = np.random.default_rng(11)
+    psi = random_pure_state(rng, n_atoms=3, n=n, max_order=2)
+    zero = psi.plus(psi.scaled(-1.0))
+    assert [at.coeff for at in zero.atoms] == [0.0]
+    return [
+        psi,
+        psi.weighted_derivative((2,) * n, (1,) * n),
+        random_pure_state(rng, n_atoms=4, n=n, max_order=6),
+        zero,
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluate_components_is_each_states_evaluate(n):
+    # at n = 2 and 257 points the joined terms of states[1:3] pass numpy's
+    # 256 KiB threshold for computing a product in place into its temporary
+    # while each state's own terms stay below it, so one product over the
+    # joined terms would move last bits here
+    states = component_family(n)
+    rng = np.random.default_rng(3)
+    for points in [
+        rng.uniform(-4.0, 4.0, size=(257, n)),
+        rng.uniform(-4.0, 4.0, size=(5, 7, n)),
+        rng.uniform(-4.0, 4.0, size=(1, n)),
+        rng.uniform(-4.0, 4.0, size=n),
+    ]:
+        for family in [states, states[1:3], states[:1]]:
+            got = evaluate_components(family, points)
+            expected = np.stack([ps.evaluate(points) for ps in family])
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
+def test_evaluate_components_refuses_mixed_axis_counts():
+    with pytest.raises(ValueError, match="share the number of axes"):
+        evaluate_components([vacuum_state(1), vacuum_state(2)], np.zeros((3, 1)))
