@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DEFAULT_BAND, PhaseSpaceFn, suggest_grid
+from .grid import DEFAULT_BAND, DERIVATIVE_ORDER_CAP, PhaseSpaceFn, suggest_grid
 from .multiindex import (
+    ORDER_CAP,
     add,
     add_scalar,
     as_index,
@@ -95,29 +96,29 @@ def chi_seminorm_table(chi, a_max, b_max, grid=None):
 
 
 def offdiag_tight_rhs(table, a, b, alpha, beta):
+    """Tight bound on |W_{chi_alpha, chi_beta}|_{a,b} from the window table:
+
+        sum_{c <= b} sum_{d <= a} C(b, c) C(a, d) 2^{-|d|}
+            |W_chi|_{a-d, b-c} s^{swap(c) + d},   s = |alpha| + |beta|,
+
+    s componentwise; each power of s is the binomial sum over its split
+    between |alpha| and |beta|, e.g. s^{swap c} = sum_{e <= c} C(c, e)
+    |alpha|^{swap e} |beta|^{swap(c-e)}.
+    """
+    a, b = as_index(a), as_index(b)
     alpha = np.abs(np.asarray(alpha, dtype=float))
     beta = np.abs(np.asarray(beta, dtype=float))
-    total = 0.0
-    for c in box(b):
-        w_bc = binom(b, c)
-        for d in box(a):
-            w_ad = w_bc * binom(a, d) * 2.0 ** (-order(d))
-            w_chi = table[(sub(a, d), sub(b, c))]
-            if w_chi == 0.0:
-                continue
-            for e in box(c):
-                w_ce = w_ad * binom(c, e)
-                for f in box(d):
-                    g_alpha = add(swap_xp(e), f)
-                    g_beta = add(sub(swap_xp(c), swap_xp(e)), sub(d, f))
-                    total += (
-                        w_ce
-                        * binom(d, f)
-                        * w_chi
-                        * monomial(alpha, g_alpha)
-                        * monomial(beta, g_beta)
-                    )
-    return float(total)
+    # a length-1 alpha would broadcast against beta, so check both shapes
+    if alpha.shape != (len(a),) or beta.shape != (len(a),):
+        raise ValueError(f"alpha and beta need {len(a)} entries each, got shapes "
+                         f"{alpha.shape} and {beta.shape}")
+    reach = alpha + beta
+    by_c = [(sub(b, c), binom(b, c) * monomial(reach, swap_xp(c))) for c in box(b)]
+    by_d = [(sub(a, d), binom(a, d) * 2.0 ** (-order(d)) * monomial(reach, d))
+            for d in box(a)]
+    terms = (w_c * w_d * table[(a_rest, b_rest)]
+             for b_rest, w_c in by_c for a_rest, w_d in by_d)
+    return float(sum(terms))
 
 
 def offdiag_loose_rhs(table, a, b, alpha, beta):
@@ -157,7 +158,10 @@ class BoundContext:
     on `suggest_grid(state)` unless a grid is given.
 
     max_total_order caps |a|+|b| of the sweep; the cached index boxes are
-    sized so that every norm the bounds need is a table lookup.
+    sized so that every norm the bounds need is a table lookup.  The window
+    decay table needs 2 * max_total_order + 6 per axis within ORDER_CAP, and
+    |b| stays within DERIVATIVE_ORDER_CAP: so the cap is at most 12 for one
+    mode and 5 for two, checked before anything is built.
     """
 
     def __init__(self, state, chi=None, grid=None, band=DEFAULT_BAND,
@@ -165,6 +169,12 @@ class BoundContext:
         self.rho = as_mixed(state)
         self.chi = chi if chi is not None else vacuum_state(self.rho.n)
         self.grid = grid if grid is not None else suggest_grid(self.rho)
+        limit = min(DERIVATIVE_ORDER_CAP, (ORDER_CAP // self.grid.dim - 6) // 2)
+        if not 0 <= max_total_order <= limit:
+            raise ValueError(
+                f"order cap {max_total_order} outside [0, {limit}] for "
+                f"{self.grid.dim // 2} mode(s)"
+            )
         self.band = band
         self.max_total_order = max_total_order
         self._cache = {}

@@ -11,7 +11,13 @@ import sys
 import numpy as np
 
 from .bounds import BoundContext
-from .grid import DEFAULT_BAND, Grid, GridResolutionError, PhaseSpaceFn
+from .grid import (
+    DEFAULT_BAND,
+    DERIVATIVE_ORDER_CAP,
+    Grid,
+    GridResolutionError,
+    PhaseSpaceFn,
+)
 from .multiindex import as_index
 from .seminorms import SeminormReport, seminorm
 from .states import HEAVY_TAIL_MAX_K, as_mixed, demo_state, load_state
@@ -233,11 +239,26 @@ def _parse_point(text, flag):
     return point
 
 
-def _parse_index(text, flag):
+def _parse_index(text, flag, dim):
     try:
-        return as_index(tuple(int(part) for part in text.split(",")))
+        index = as_index(tuple(int(part) for part in text.split(",")))
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
+    if len(index) != dim:
+        raise ValueError(
+            f"{flag} {text!r}: index length {len(index)} != grid dim {dim}"
+        )
+    return index
+
+
+def _parse_band(text, grid):
+    """The --band fraction, checked against the grid's interior slice."""
+    try:
+        band = float(text)
+        grid.interior_range(band)
+    except ValueError as exc:
+        raise ValueError(f"--band {text!r}: {exc}") from None
+    return band
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +305,16 @@ def _cmd_matel(args):
 def _cmd_seminorm(args):
     state, _ = _resolve_state(args)
     grid = _resolve_grid(args, state)
-    a = _parse_index(args.a, "--a")
-    b = _parse_index(args.b, "--b")
+    a = _parse_index(args.a, "--a", grid.dim)
+    b = _parse_index(args.b, "--b", grid.dim)
+    if sum(b) > DERIVATIVE_ORDER_CAP:
+        raise ValueError(f"--b {args.b!r}: derivative order {sum(b)} exceeds cap "
+                         f"{DERIVATIVE_ORDER_CAP}")
+    band = _parse_band(args.band, grid)
     fn = _representation(args.rep, state, grid, args)
-    value = seminorm(fn, a, b, band=args.band)
+    value = seminorm(fn, a, b, band=band)
     report = SeminormReport(
-        args.rep, (a, b), value, grid.n_points, grid.half_extent, args.band
+        args.rep, (a, b), value, grid.n_points, grid.half_extent, band
     )
     print(f"seminorm[{args.rep}] a={args.a} b={args.b} value={_fmt(value)}")
     if args.out:
@@ -300,8 +325,11 @@ def _cmd_seminorm(args):
 
 def _cmd_bound_check(args):
     state, _ = _resolve_state(args)
-    ctx = BoundContext(state, chi=_resolve_chi(args), grid=_resolve_grid(args, state),
-                       max_total_order=args.order_cap)
+    chi, grid = _resolve_chi(args), _resolve_grid(args, state)
+    try:
+        ctx = BoundContext(state, chi=chi, grid=grid, max_total_order=args.order_cap)
+    except ValueError as exc:  # every other argument is checked by now
+        raise ValueError(f"--order-cap: {exc}") from None
     names = {"theorem": ["theorem"], "husimi": ["husimi"],
              "both": ["theorem", "husimi"]}[args.variant]
     reports = []
@@ -400,7 +428,7 @@ def build_parser():
     sp.add_argument(
         "--rep", choices=("wigner", "quasichar", "husimi"), default="wigner"
     )
-    sp.add_argument("--band", type=float, default=DEFAULT_BAND,
+    sp.add_argument("--band", default=DEFAULT_BAND,
                     help="edge fraction excluded from the sup")
     sp.set_defaults(func=_cmd_seminorm)
 
@@ -408,7 +436,8 @@ def build_parser():
     _add_state_flags(sp, with_chi=True)
     _add_grid_flag(sp)
     sp.add_argument("--order-cap", type=int, default=4,
-                    help="max |a|+|b| in the sweep")
+                    help="max |a|+|b| in the sweep: 0 to 12 for one mode, 0 to 5 "
+                         "for two")
     sp.add_argument("--variant", choices=("theorem", "husimi", "both"),
                     default="both")
     sp.set_defaults(func=_cmd_bound_check)

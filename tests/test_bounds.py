@@ -25,7 +25,17 @@ from phasespace import (
 )
 from phasespace import bounds, transforms
 from phasespace.bounds import chi_seminorm_table, offdiag_loose_rhs, offdiag_tight_rhs
-from phasespace.multiindex import add, add_scalar, order, scale, swap_xp
+from phasespace.multiindex import (
+    add,
+    add_scalar,
+    binom,
+    box,
+    monomial,
+    order,
+    scale,
+    sub,
+    swap_xp,
+)
 from phasespace.transforms import MatelSampler
 
 Z = (0, 0)
@@ -127,15 +137,7 @@ def test_tight_below_loose():
     grid = Grid(2, 256, 12.0)
     table = seminorm_table(wigner(chi, grid), (4, 4), (4, 4), refine=False)
     rng = np.random.default_rng(23)
-    cap = (4, 4)
-    from phasespace.multiindex import box
-
-    pairs = [
-        (a, b)
-        for a in box(cap)
-        for b in box(cap)
-        if order(a) + order(b) <= 4
-    ]
+    pairs = pairs_up_to(4, 2)
     for _ in range(3):
         alpha = rng.uniform(-3.0, 3.0, 2)
         beta = rng.uniform(-3.0, 3.0, 2)
@@ -143,6 +145,83 @@ def test_tight_below_loose():
             tight = offdiag_tight_rhs(table, a, b, alpha, beta)
             loose = offdiag_loose_rhs(table, a, b, alpha, beta)
             assert tight <= loose * (1.0 + 1e-12)
+
+
+def fourfold_tight_rhs(table, a, b, alpha, beta):
+    # the tight bound summed term by term over c <= b, d <= a, e <= c, f <= d
+    alpha = np.abs(np.asarray(alpha, dtype=float))
+    beta = np.abs(np.asarray(beta, dtype=float))
+    total = 0.0
+    for c in box(b):
+        w_bc = binom(b, c)
+        for d in box(a):
+            w_ad = w_bc * binom(a, d) * 2.0 ** (-order(d))
+            w_chi = table[(sub(a, d), sub(b, c))]
+            if w_chi == 0.0:
+                continue
+            for e in box(c):
+                w_ce = w_ad * binom(c, e)
+                for f in box(d):
+                    g_alpha = add(swap_xp(e), f)
+                    g_beta = add(sub(swap_xp(c), swap_xp(e)), sub(d, f))
+                    total += (
+                        w_ce
+                        * binom(d, f)
+                        * w_chi
+                        * monomial(alpha, g_alpha)
+                        * monomial(beta, g_beta)
+                    )
+    return float(total)
+
+
+def pairs_up_to(total, dim):
+    """Every (a, b) of length-dim indices with |a|+|b| <= total, in box order."""
+    cap = (total,) * dim
+    return [(a, b) for a in box(cap) for b in box(cap) if order(a) + order(b) <= total]
+
+
+def assert_matches_fourfold(table, cases):
+    new = np.array([offdiag_tight_rhs(table, *case) for case in cases])
+    old = np.array([fourfold_tight_rhs(table, *case) for case in cases])
+    assert np.all(old > 0.0)
+    assert np.max(np.abs(new - old) / old) <= 1e-14
+
+
+def test_tight_matches_fourfold_on_c06_cases():
+    # the 3500 (a, b, alpha, beta) cases of c06, drawn in its order
+    table = chi_seminorm_table(vacuum_state(1), (4, 4), (4, 4))
+    rng = np.random.default_rng(606)
+    cases = []
+    for _ in range(50):
+        alpha = rng.uniform(-2.0, 2.0, 2)
+        beta = rng.uniform(-2.0, 2.0, 2)
+        cases += [(a, b, alpha, beta) for a, b in pairs_up_to(4, 2)]
+    assert len(cases) == 3500
+    assert_matches_fourfold(table, cases)
+
+
+def test_tight_matches_fourfold_on_two_mode_tables():
+    # the closed form is algebraic: any positive table of n = 2 entries will do
+    rng = np.random.default_rng(41)
+    pairs = pairs_up_to(3, 4)
+    for _ in range(3):
+        table = dict(zip(pairs, rng.lognormal(0.0, 2.0, len(pairs))))
+        alpha = rng.uniform(-3.0, 3.0, 4)
+        beta = rng.uniform(-3.0, 3.0, 4)
+        assert_matches_fourfold(table, [(a, b, alpha, beta) for a, b in pairs])
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [([1.0], [0.5, 3.0]), ([1.0, 2.0], [0.5]), ([1.0, 2.0, 0.0], [0.5, 3.0, 0.0])],
+)
+def test_tight_rejects_alpha_beta_of_wrong_length(alpha, beta):
+    # |alpha| + |beta| would broadcast a length-1 side against the other
+    table = {(Z, Z): 1.0, ((1, 0), Z): 1.0, (Z, (0, 1)): 1.0, ((1, 0), (0, 1)): 1.0}
+    with pytest.raises(ValueError, match="alpha and beta need 2 entries"):
+        offdiag_tight_rhs(table, (1, 0), (0, 1), alpha, beta)
+    with pytest.raises(ValueError):
+        fourfold_tight_rhs(table, (1, 0), (0, 1), alpha, beta)
 
 
 def test_grid_seminorm_below_tight(grid):
@@ -269,6 +348,16 @@ def test_context_order_cap(vacuum_ctx):
         vacuum_ctx.theorem_report((3, 2), Z)
     with pytest.raises(ValueError, match="exceeds"):
         vacuum_ctx.husimi_report(Z, (2, 3))
+
+
+@pytest.mark.parametrize("n,limit", [(1, 12), (2, 5)])
+def test_context_order_cap_range(no_wigner, n, limit):
+    # the window decay table needs 2 * cap + 6 per axis within ORDER_CAP = 64
+    grid = Grid(2 * n, 16, 6.0)
+    assert BoundContext(vacuum_state(n), grid=grid, max_total_order=limit)
+    for cap in (limit + 1, -1):
+        with pytest.raises(ValueError, match=rf"order cap {cap} outside \[0, {limit}\]"):
+            BoundContext(vacuum_state(n), grid=grid, max_total_order=cap)
 
 
 def test_index_pairs_enumeration(vacuum_ctx):

@@ -481,6 +481,10 @@ def test_wigner_grid_flag_not_power_of_two(no_transforms, capsys):
         (["wigner", "--grid", "ten,12"], "--grid", "ten"),
         (["verify", "--grid", "64,x"], "--grid", "x"),
         (["verify", "--grid", "64.0,8"], "--grid", "64.0"),
+        (["seminorm", "--a", "1,0,0", "--b", "0,0"], "--a", "1,0,0"),
+        (["seminorm", "--a", "0,0", "--b", "13,0"], "--b", "13,0"),
+        (["seminorm", "--a", "0,0", "--b", "0,0", "--band", "0.7"], "--band", "0.7"),
+        (["seminorm", "--a", "0,0", "--b", "0,0", "--band", "nan"], "--band", "nan"),
     ],
 )
 def test_malformed_number_names_its_flag(
@@ -491,6 +495,14 @@ def test_malformed_number_names_its_flag(
     assert run_cli(argv[0], "--demo", "vacuum", *argv[1:]) == 2
     err = capsys.readouterr().err
     assert flag in err and repr(text) in err
+
+
+@pytest.mark.parametrize("cap", ["13", "-1"])
+def test_bound_check_order_cap_range_checked_first(no_transforms, capsys, cap):
+    # the window decay table of a one-mode sweep needs order 2 * cap + 6 <= 32
+    assert run_cli("bound-check", "--demo", "vacuum", "--order-cap", cap) == 2
+    err = capsys.readouterr().err
+    assert "--order-cap" in err and f"order cap {cap} outside [0, 12]" in err
 
 
 # --- --chi FILE and demo --K ----------------------------------------------------
