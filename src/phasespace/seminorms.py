@@ -26,6 +26,11 @@ OPERATOR_ORDER_CAP = 8
 ZOOM_ROUNDS = 6
 ZOOM_POINTS = 5
 ZOOM_SHRINK = 3.0
+# the grid zoom holds up to four (ZOOM_POINTS, N) complex rows per entry (its
+# gathered x and y rows and the distinct basis and GEMM rows they come
+# from); it zooms entries in blocks of at most _ZOOM_BLOCK_BYTES of them
+_ZOOM_BLOCK_BYTES = 32 * 2**20
+_ZOOM_ENTRY_ROWS = 4
 # kernel_seminorm's lattice has _KERNEL_LATTICE_POINTS points per axis and
 # is read in blocks of _KERNEL_ROW_BLOCK rows; each row's Cauchy-Schwarz
 # bound is inflated by the relative margin, which covers the rounding of a
@@ -199,7 +204,8 @@ def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
 
     F is transformed once; each distinct b costs one inverse transform and
     one axis-by-axis lattice pass (`_lattice_sups`) for all its entries,
-    which on 2-D grids then zoom together on the derivative coefficients.
+    which on 2-D grids then zoom on the derivative coefficients in blocks
+    of entries of bounded size.
     """
     grid = fn.grid
     lo, hi = grid.interior_range(band)
@@ -216,7 +222,14 @@ def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
         abs_vals = np.abs(deriv[(slice(lo, hi),) * grid.dim])
         starts = _lattice_sups(abs_vals, grid, decays, lo, hi)
         if refine and grid.dim == 2:
-            values = _zoom_sups(coeffs, grid, decays, starts, lo, hi)
+            row_bytes = ZOOM_POINTS * grid.n_points * 16
+            chunk = max(1, _ZOOM_BLOCK_BYTES // (_ZOOM_ENTRY_ROWS * row_bytes))
+            values = np.concatenate([
+                _zoom_sups(
+                    coeffs, grid, decays[s : s + chunk], starts[s : s + chunk], lo, hi
+                )
+                for s in range(0, len(decays), chunk)
+            ])
         else:
             values = [value for value, _ in starts]
         for a, value in zip(decays, values):

@@ -19,6 +19,9 @@ from .states import as_mixed, displaced_overlaps
 QUASICHAR_CROSS_TOL = 1e-6
 HUSIMI_CROSS_TOL = 1e-6
 HUSIMI_NEGATIVITY_FLOOR = -1e-7
+# momentum_density forms its Fourier matrix about this many values (1 MB of
+# complex) at a time, whatever the number of p points
+_MOMENTUM_BLOCK_VALUES = 65_536
 
 
 def _mesh(axis, n):
@@ -418,20 +421,25 @@ def momentum_marginal(fn):
 
 def momentum_density(state, p_points, n_nodes=4096):
     """sum_j w_j |psi_j_hat(p)|^2, each by quadrature of the unitary Fourier
-    transform on a lattice spanning that component (n=1)."""
+    transform on a lattice spanning that component (n=1); p_points of any
+    shape, returned in that shape."""
     rho = as_mixed(state)
     if rho.n != 1:
         raise ValueError("momentum density implemented for n=1")
     p_points = np.asarray(p_points, dtype=float)
-    dens = np.zeros(p_points.shape)
+    flat = p_points.ravel()
+    dens = np.zeros(flat.shape)
+    # at least 2 p points per block: a one-row product is a dot, not a GEMV
+    # row, and rounds differently; floor division keeps every block >= chunk
+    chunk = max(2, _MOMENTUM_BLOCK_VALUES // n_nodes)
+    blocks = np.array_split(flat, max(1, flat.size // chunk))
     for w, psi in zip(rho.weights, rho.pure_states):
         lattice = Grid(1, n_nodes, psi.reach(), kind="config")
         xs, step = lattice.axis(), lattice.spacing
         vals = psi.evaluate(xs[:, None])
-        hat = (
-            step
-            / np.sqrt(2.0 * np.pi)
-            * np.exp(-1j * np.outer(p_points, xs)) @ vals
-        )
+        hat = np.concatenate([
+            step / np.sqrt(2.0 * np.pi) * np.exp(-1j * np.outer(block, xs)) @ vals
+            for block in blocks
+        ])
         dens += w * (hat * np.conj(hat)).real
-    return dens
+    return dens.reshape(p_points.shape)

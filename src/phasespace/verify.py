@@ -389,15 +389,19 @@ def check_wigner_decomp(
     right = np.exp(-1j * wedge + gauss)[:, None, :] * np.conj(f_mesh)
     # left @ K with K(a, b) = E[x_a, x_b] C[x_a, p_b] E[p_a, p_b] conj(C[p_a, x_b])
     # and the 1-D tables E = e^{-uv/2}, C = e^{iuv/2}: one GEMM over x_a,
-    # then a sum over p_a, so no A x A kernel is formed
+    # then a sum over p_a, so no A x A kernel is formed; one (point,
+    # component) slice at a time, so the n^3 scratch does not grow with K
     e_tab = np.exp(-0.5 * np.outer(axis, axis))
     c_tab = np.exp(0.5j * np.outer(axis, axis))
     over_x = (e_tab[:, :, None] * c_tab[:, None, :]).reshape(n_nodes, -1)
     over_p = e_tab[:, None, :] * np.conj(c_tab)[:, :, None]
-    left_x = np.swapaxes(left.reshape(-1, n_nodes, n_nodes), 1, 2) @ over_x
-    left_k = np.einsum(
-        "qaxp,axp->qxp", left_x.reshape((-1,) + (n_nodes,) * 3), over_p
-    ).reshape(left.shape)
+    flat_left = np.swapaxes(left.reshape(-1, n_nodes, n_nodes), 1, 2)
+    left_k = np.empty(left.shape, dtype=complex)
+    flat_k = left_k.reshape(flat_left.shape)
+    for q, slice_q in enumerate(flat_left):
+        flat_k[q] = np.einsum(
+            "axp,axp->xp", (slice_q @ over_x).reshape((n_nodes,) * 3), over_p
+        )
     totals = np.einsum("j,pja,pja->p", weights, left_k, right)
     totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
     resid = float(np.abs(totals - ctx.w_rho().at(points)).max())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,19 @@ def mixtures20():
 @pytest.fixture(scope="session")
 def mixture(mixtures20):
     return mixtures20[0]
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(fn, *args, **kw): peak bytes tracemalloc traces while
+    fn(*args, **kw) runs."""
+
+    def peak(fn, *args, **kw):
+        tracemalloc.start()
+        try:
+            fn(*args, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

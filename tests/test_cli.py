@@ -1,9 +1,11 @@
 """Command-line behavior: output formats, exit codes, config parsing,
 and byte-level determinism of exported CSVs."""
 
+import ctypes
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +347,37 @@ def test_verify_empty_plan_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", _fake_suite([]))
     assert run_cli("verify", "--demo", "vacuum") == 1
     assert capsys.readouterr().out.splitlines() == [CSV_HEADER, "verify: no checks ran"]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the allocator settings are glibc mallopt parameters",
+)
+def test_verify_pins_allocator_before_the_pool(monkeypatch, capsys):
+    settings = [
+        (cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD_BYTES),
+        (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD_BYTES),
+        (cli._M_ARENA_MAX, 1),
+    ]
+    # glibc accepts each value (mallopt returns 0 for one out of range)
+    libc = ctypes.CDLL(None)
+    assert [libc.mallopt(param, value) for param, value in settings] == [1, 1, 1]
+
+    calls, seen = [], []
+
+    class Recorder:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    def run_suite(state, chi, cfg, demo=None):
+        seen.append(list(calls))
+        return [VerifyReport("duality", 1e-9, 1e-6, 10, 256, 12.0, 0)]
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Recorder())
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    assert run_cli("verify", "--demo", "vacuum") == 0
+    assert seen == [settings]
 
 
 def test_verify_prints_failure_reasons(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,6 @@ the explicit densities), never read back from the module under test.
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from phasespace import (
     Grid,
     GridResolutionError,
     MixedState,
+    PhaseSpaceFn,
     PureState,
     decay_norm_from_table,
     fock_state,
@@ -285,17 +285,35 @@ def test_shared_row_zoom_matches_per_entry_zoom_at_box_edge():
     assert _seminorm_entries(fn, pairs, band=0.0) == _per_entry_table(fn, pairs, 0.0)
 
 
-def test_decay_table_peak_memory():
+def test_decay_table_peak_memory(traced_peak):
     fn = wigner(random_mixture(np.random.default_rng(1)), Grid(2, 256, 12.0))
-    tracemalloc.start()
-    try:
-        seminorm_table(fn, (14, 14), Z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(seminorm_table, fn, (14, 14), Z)
     # one basis row per distinct coordinate: the per-entry zoom peaked
     # near 34 MB here
     assert peak < 24e6
+
+
+def test_blocked_zoom_matches_per_entry_zoom(vacuum_wigner, monkeypatch):
+    # 529 entries at N = 256 zoom as two blocks (409 and 120 entries)
+    calls, zoom = [], seminorms_module._zoom_sups
+
+    def counted(coeffs, grid, decays, *rest):
+        calls.append(len(decays))
+        return zoom(coeffs, grid, decays, *rest)
+
+    monkeypatch.setattr(seminorms_module, "_zoom_sups", counted)
+    pairs = _decay_pairs((22, 22))
+    table = _seminorm_entries(vacuum_wigner, pairs)
+    assert calls == [409, 120]
+    assert table == _per_entry_table(vacuum_wigner, pairs, DEFAULT_BAND)
+
+
+def test_blocked_zoom_peak_memory(traced_peak):
+    # the closed-form vacuum W on a 512^2 grid; zooming all 529 entries at
+    # once peaked near 72 MB here, about twice the 256^2 peak
+    grid = Grid(2, 512, 12.0)
+    fn = PhaseSpaceFn(grid, np.exp(-(grid.points() ** 2).sum(-1)) / np.pi)
+    assert traced_peak(seminorm_table, fn, (22, 22), Z) < 40e6
 
 
 def _band_abs_values(fn, b, band):

@@ -441,6 +441,49 @@ def test_momentum_density_sums_weighted_components(mixture):
     assert np.array_equal(momentum_density(mixture, ps), parts[0] + parts[1])
 
 
+def _momentum_density_one_matrix(state, p_points, n_nodes=4096):
+    # the route before blocking: one (len(p), n_nodes) matrix per component
+    rho = as_mixed(state)
+    p_points = np.asarray(p_points, dtype=float)
+    dens = np.zeros(p_points.shape)
+    for w, psi in zip(rho.weights, rho.pure_states):
+        lattice = Grid(1, n_nodes, psi.reach(), kind="config")
+        xs, step = lattice.axis(), lattice.spacing
+        vals = psi.evaluate(xs[:, None])
+        hat = (
+            step
+            / np.sqrt(2.0 * np.pi)
+            * np.exp(-1j * np.outer(p_points, xs)) @ vals
+        )
+        dens += w * (hat * np.conj(hat)).real
+    return dens
+
+
+# 257 points in slices of 16 (4096 nodes) and 41 in slices of 2 (32768
+# nodes) would leave a one-point slice, whose product rounds as a dot
+@pytest.mark.parametrize(
+    "n_p, n_nodes", [(256, 4096), (257, 4096), (1024, 4096), (41, 32768)]
+)
+def test_momentum_density_blocks_match_one_matrix(mixture, n_p, n_nodes):
+    ps = np.linspace(-10.0, 10.0, n_p)
+    assert np.array_equal(
+        momentum_density(mixture, ps, n_nodes=n_nodes),
+        _momentum_density_one_matrix(mixture, ps, n_nodes=n_nodes),
+    )
+
+
+def test_momentum_density_peak_memory(mixture, traced_peak):
+    # the one-matrix route traced about 134 MB at 1024 p points
+    ps = np.linspace(-10.0, 10.0, 1024)
+    assert traced_peak(momentum_density, mixture, ps) < 8e6
+
+
+def test_momentum_density_keeps_p_shape(mixture):
+    ps = np.linspace(-4.0, 4.0, 12)
+    dens = momentum_density(mixture, ps.reshape(3, 4))
+    assert np.array_equal(dens, momentum_density(mixture, ps).reshape(3, 4))
+
+
 def test_wigner_pointwise_matches_grid(mixture, grid):
     w = wigner(mixture, grid)
     ix, ip = np.array([128, 100, 140]), np.array([128, 150, 120])

@@ -2,7 +2,6 @@
 plus suite planning, seeding, and failure-recording behavior."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,8 +274,9 @@ def test_decomp_matches_pairwise_route(case, n_nodes):
         assert abs(got - abs(total - ref)) <= 1e-12 * abs(total), point
 
 
-def decomp_dense_kernel_residual(ctx, n_nodes):
-    """Reference residual: the pair kernel K filled as one A x A array."""
+def _decomp_residual(ctx, n_nodes, left_times_kernel):
+    """Reference residual |decomposition - W_rho| over the check's points,
+    with left @ K formed by left_times_kernel(left, axis)."""
     rho, chi = ctx.rho, ctx.chi
     kappa, center = gaussian_atom_params(chi)
     s = 0.4
@@ -286,22 +286,42 @@ def decomp_dense_kernel_residual(ctx, n_nodes):
     points = ctx.grid.spacing * np.array(
         [[0, 0], [10, 0], [0, 10], [-10, 10], [10, 10], [-8, -4], [4, -12], [16, 8]]
     )
+    eta = points - center
+    wedge = symplectic_form(points[:, None, :], mesh[None, :, :])
+    gauss = eta @ mesh.T - 0.25 * (mesh**2).sum(-1)
+    left = np.exp(1j * wedge + gauss)[:, None, :] * f_mesh
+    right = np.exp(-1j * wedge + gauss)[:, None, :] * np.conj(f_mesh)
+    left_k = left_times_kernel(left, axis)
+    totals = np.einsum("j,pja,pja->p", np.asarray(rho.weights), left_k, right)
+    totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
+    return float(np.abs(totals - ctx.w_rho().at(points)).max())
+
+
+def _dense_kernel_product(left, axis):
+    """left @ K with the pair kernel K filled as one A x A array."""
+    n_nodes = len(axis)
     e_tab = np.exp(-0.5 * np.outer(axis, axis))
     c_tab = np.exp(0.5j * np.outer(axis, axis))
     kernel = np.empty((n_nodes,) * 4, dtype=complex)
     np.multiply(e_tab[:, None, :, None], e_tab[None, :, None, :], out=kernel)
     kernel *= np.conj(c_tab)[None, :, :, None]
     kernel *= c_tab[:, None, None, :]
-    kernel = kernel.reshape(mesh.shape[0], mesh.shape[0])
-    eta = points - center
-    wedge = symplectic_form(points[:, None, :], mesh[None, :, :])
-    gauss = eta @ mesh.T - 0.25 * (mesh**2).sum(-1)
-    left = np.exp(1j * wedge + gauss)[:, None, :] * f_mesh
-    right = np.exp(-1j * wedge + gauss)[:, None, :] * np.conj(f_mesh)
-    left_k = (left.reshape(-1, mesh.shape[0]) @ kernel).reshape(left.shape)
-    totals = np.einsum("j,pja,pja->p", np.asarray(rho.weights), left_k, right)
-    totals *= kappa * np.exp(-(eta**2).sum(-1)) * s**4 / (2.0 * np.pi) ** 2
-    return float(np.abs(totals - ctx.w_rho().at(points)).max())
+    kernel = kernel.reshape(n_nodes**2, n_nodes**2)
+    return (left.reshape(-1, n_nodes**2) @ kernel).reshape(left.shape)
+
+
+def _batched_kernel_product(left, axis):
+    """left @ K for every (point, component) in one batched GEMM over x_a
+    and one einsum over p_a."""
+    n_nodes = len(axis)
+    e_tab = np.exp(-0.5 * np.outer(axis, axis))
+    c_tab = np.exp(0.5j * np.outer(axis, axis))
+    over_x = (e_tab[:, :, None] * c_tab[:, None, :]).reshape(n_nodes, -1)
+    over_p = e_tab[:, None, :] * np.conj(c_tab)[:, :, None]
+    left_x = np.swapaxes(left.reshape(-1, n_nodes, n_nodes), 1, 2) @ over_x
+    return np.einsum(
+        "qaxp,axp->qxp", left_x.reshape((-1,) + (n_nodes,) * 3), over_p
+    ).reshape(left.shape)
 
 
 @pytest.mark.parametrize("which", ["vacuum", "fock1", "mixture"])
@@ -310,20 +330,38 @@ def test_decomp_matches_dense_kernel_build(which, mixture, grid):
     ctx = BoundContext(state[which], grid=grid)
     for n_nodes in (48, 64):
         got = check_wigner_decomp(ctx, n_nodes=n_nodes).residual
-        assert abs(got - decomp_dense_kernel_residual(ctx, n_nodes)) <= 1e-15
+        want = _decomp_residual(ctx, n_nodes, _dense_kernel_product)
+        assert abs(got - want) <= 1e-15
 
 
-def test_decomp_forms_no_pair_kernel(grid):
-    # the A x A kernel alone is 85 MB at 48 nodes
+def _decomp_context(n_components, grid):
+    if n_components == 1:
+        return BoundContext(fock_state(1), grid=grid)
+    rng = np.random.default_rng(40 + n_components)
+    return BoundContext(random_mixture(rng, n_components=n_components), grid=grid)
+
+
+@pytest.mark.parametrize("n_nodes", [48, 64])
+@pytest.mark.parametrize("n_components", [1, 2, 8])
+def test_decomp_slices_match_batched_route(n_components, n_nodes, grid):
+    ctx = _decomp_context(n_components, grid)
+    got = check_wigner_decomp(ctx, n_nodes=n_nodes).residual
+    assert got == _decomp_residual(ctx, n_nodes, _batched_kernel_product)
+
+
+def test_decomp_forms_no_pair_kernel(grid, traced_peak):
+    # the A x A kernel alone is 85 MB at 48 nodes, and the batched GEMM's
+    # (8 K n, n^2) block traced 34 MB here
     ctx = BoundContext(random_mixture(np.random.default_rng(7)), grid=grid)
     ctx.w_rho()
-    tracemalloc.start()
-    try:
-        check_wigner_decomp(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6
+    assert traced_peak(check_wigner_decomp, ctx) < 16e6
+
+
+def test_decomp_peak_memory_eight_components(grid, traced_peak):
+    # the batched GEMM's block alone was 8 K n^3 complex values: 268 MB here
+    ctx = _decomp_context(8, grid)
+    ctx.w_rho()
+    assert traced_peak(check_wigner_decomp, ctx, n_nodes=64) < 40e6
 
 
 def test_decomp_rejects_multi_atom_window(vacuum, grid):
