@@ -43,8 +43,8 @@ BOUND_HEADER = "a,b,lhs,rhs,ratio,pass"
 SEMINORM_HEADER = "family,a,b,value,N,L,band"
 # a --state file is a density operator, and the check tolerances are absolute
 _TRACE_TOL = 1e-6
-# glibc mallopt parameters and the values `verify` pins them at (see
-# `_keep_freed_memory`)
+# glibc mallopt parameters and the values every subcommand pins them at
+# (see `_keep_freed_memory`)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_BYTES = 32 * 2**20
 _TRIM_THRESHOLD_BYTES = 64 * 2**20
@@ -358,18 +358,20 @@ def _cmd_bound_check(args):
 
 
 def _keep_freed_memory():
-    """Keep the suite's freed scratch mapped between checks (glibc only).
+    """Keep a run's freed scratch mapped between its blocks (glibc only).
 
     By default glibc serves a block from the heap only once a block as
     large was freed, returns free heap beyond twice that size to the
-    kernel, and gives each pool thread its own heap.  The checks' own
-    blocks are a few MB, while each grid transform frees about 18 MB at
-    N = 256, so every transform mapped that memory afresh: thousands of
-    page faults per check, whose cost varies with the machine's load.
-    Pinned here, blocks under 32 MiB come from the heap, up to 64 MiB of
-    its free top stays mapped, and the threads share one heap, so what
-    stays mapped is one high-water mark rather than one per thread.
-    Called before the pool starts; no effect off glibc.
+    kernel, and gives each pool thread its own heap.  The transforms,
+    seminorm tables and checks work in blocks of a few MB, and each grid
+    transform frees about 11 MB at N = 256, so unpinned, that memory is
+    mapped and faulted in afresh block after block: thousands of page
+    faults per call, whose cost varies with the machine's load.  Pinned,
+    blocks under 32 MiB come from the heap, up to 64 MiB of its free top
+    stays mapped, and the threads share one heap, so what stays mapped is
+    one high-water mark rather than one per thread.  `main` calls it once
+    for every subcommand, before any work and before `verify` starts its
+    pool; no effect off glibc.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -380,7 +382,6 @@ def _keep_freed_memory():
 
 
 def _cmd_verify(args):
-    _keep_freed_memory()
     state, demo = _resolve_state(args)
     chi = _resolve_chi(args)
     cfg = parse_config(args.config) if args.config else RunConfig()
@@ -497,6 +498,7 @@ def main(argv=None):
         if argv[i - 1] in ("--alpha", "--beta") and not argv[i].startswith("--"):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         worker_count()  # a malformed PHASESPACE_THREADS exits 2 before any work
         return args.func(args)

@@ -70,6 +70,10 @@ class Atom:
             raise ValueError(f"non-finite alpha {tuple(self.alpha)}")
         if not (math.isfinite(self.coeff.real) and math.isfinite(self.coeff.imag)):
             raise ValueError(f"non-finite coeff {self.coeff}")
+        # hashable, so `_merge` can key atoms on (m, alpha) whatever the
+        # caller passed (an ndarray, a list or a tuple)
+        object.__setattr__(self, "m", tuple(int(mi) for mi in self.m))
+        object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
 
     @property
     def n(self):

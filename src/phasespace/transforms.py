@@ -19,9 +19,10 @@ from .states import as_mixed, displaced_overlaps
 QUASICHAR_CROSS_TOL = 1e-6
 HUSIMI_CROSS_TOL = 1e-6
 HUSIMI_NEGATIVITY_FLOOR = -1e-7
-# momentum_density forms its Fourier matrix about this many values (1 MB of
-# complex) at a time, whatever the number of p points
-_MOMENTUM_BLOCK_VALUES = 65_536
+# the chunked loops below work on about this many values (1 MB of complex)
+# at a time: kernel values per block of rows, Fourier-matrix entries per
+# block of p points, quadrature nodes per block of displacements
+_BLOCK_VALUES = 65_536
 
 
 def _mesh(axis, n):
@@ -94,20 +95,21 @@ def _rep_on_grid(rho, rows, momenta, lattice, rep):
     kernel_mat = lattice.spacing * np.exp(1j * np.outer(momenta, aux))
     out = np.empty((row_pts.shape[0],) + (momenta.size,) * n, dtype=complex)
     gather = _lattice_kernel(rho, rows, aux, 0.5 * lattice.spacing, rep)
-    # about 1M kernel values (16 MB) per chunk: a larger block raises the
-    # peak memory of the pointwise callers without saving time
-    chunk = max(1, 1_000_000 // nodes.shape[0])
-    for start in range(0, row_pts.shape[0], chunk):
-        r = row_pts[start : start + chunk, None, :]
-        x, y = _kernel_args(r, nodes[None, :, :], rep)
+    # about _BLOCK_VALUES kernel values per block of rows, so the kernel and
+    # its temporaries stay a few MB; at least 2 rows per block, since a
+    # one-row product is a GEMV, not a GEMM row, and rounds differently
+    chunk = max(2, _BLOCK_VALUES // nodes.shape[0])
+    n_rows = row_pts.shape[0]
+    for block in np.array_split(np.arange(n_rows), max(1, n_rows // chunk)):
+        x, y = _kernel_args(row_pts[block, None, :], nodes[None, :, :], rep)
         kv = None if gather is None else gather(x, y)
         if kv is None:
             kv = rho.kernel(x, y)
-        kv = kv.reshape((r.shape[0],) + (aux.size,) * n)
+        kv = kv.reshape((block.size,) + (aux.size,) * n)
         for _ in range(n):
             # transform the leading node axis against the momenta
             kv = np.tensordot(kv, kernel_mat, axes=(1, 1))
-        out[start : start + chunk] = kv
+        out[block] = kv
     return out.reshape((rows.size,) * n + (momenta.size,) * n)
 
 
@@ -221,7 +223,7 @@ def _displaced_overlaps_quadrature(chi, alphas, psi):
     alphas = np.asarray(alphas, dtype=float)
     flat = alphas.reshape(-1, 2)
     out = np.empty(flat.shape[0], dtype=complex)
-    chunk = max(1, 2_000_000 // ys.size)
+    chunk = max(1, _BLOCK_VALUES // ys.size)
     for start in range(0, flat.shape[0], chunk):
         a = flat[start : start + chunk]
         shifted = ys[None, :] - a[:, :1]
@@ -431,7 +433,7 @@ def momentum_density(state, p_points, n_nodes=4096):
     dens = np.zeros(flat.shape)
     # at least 2 p points per block: a one-row product is a dot, not a GEMV
     # row, and rounds differently; floor division keeps every block >= chunk
-    chunk = max(2, _MOMENTUM_BLOCK_VALUES // n_nodes)
+    chunk = max(2, _BLOCK_VALUES // n_nodes)
     blocks = np.array_split(flat, max(1, flat.size // chunk))
     for w, psi in zip(rho.weights, rho.pure_states):
         lattice = Grid(1, n_nodes, psi.reach(), kind="config")

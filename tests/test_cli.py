@@ -349,35 +349,70 @@ def test_verify_empty_plan_fails(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [CSV_HEADER, "verify: no checks ran"]
 
 
-@pytest.mark.skipif(
-    platform.libc_ver()[0] != "glibc",
-    reason="the allocator settings are glibc mallopt parameters",
-)
-def test_verify_pins_allocator_before_the_pool(monkeypatch, capsys):
-    settings = [
-        (cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD_BYTES),
-        (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD_BYTES),
-        (cli._M_ARENA_MAX, 1),
-    ]
-    # glibc accepts each value (mallopt returns 0 for one out of range)
-    libc = ctypes.CDLL(None)
-    assert [libc.mallopt(param, value) for param, value in settings] == [1, 1, 1]
+ALLOCATOR_SETTINGS = [
+    (cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD_BYTES),
+    (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD_BYTES),
+    (cli._M_ARENA_MAX, 1),
+]
 
-    calls, seen = [], []
+
+def record_mallopt(monkeypatch):
+    """The (param, value) list every mallopt call of `cli` appends to."""
+    calls = []
 
     class Recorder:
         def mallopt(self, param, value):
             calls.append((param, value))
             return 1
 
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Recorder())
+    return calls
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the allocator settings are glibc mallopt parameters",
+)
+def test_verify_pins_allocator_before_the_pool(monkeypatch, capsys):
+    # glibc accepts each value (mallopt returns 0 for one out of range)
+    libc = ctypes.CDLL(None)
+    assert [libc.mallopt(param, value) for param, value in ALLOCATOR_SETTINGS] == [1, 1, 1]
+
+    calls, seen = record_mallopt(monkeypatch), []
+
     def run_suite(state, chi, cfg, demo=None):
         seen.append(list(calls))
         return [VerifyReport("duality", 1e-9, 1e-6, 10, 256, 12.0, 0)]
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Recorder())
     monkeypatch.setattr(cli, "run_suite", run_suite)
     assert run_cli("verify", "--demo", "vacuum") == 0
-    assert seen == [settings]
+    assert seen == [ALLOCATOR_SETTINGS]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the allocator settings are glibc mallopt parameters",
+)
+@pytest.mark.parametrize(
+    "argv, first_work",
+    [
+        (["demo", "--which", "plateau"], "check_plateau_decay"),
+        (["demo", "--which", "heavy-tail", "--K", "2"], "check_heavy_tail_trend"),
+        (["wigner", "--demo", "vacuum", "--grid", "32,6"], "_resolve_state"),
+    ],
+    ids=["demo-plateau", "demo-heavy-tail", "wigner"],
+)
+def test_every_subcommand_pins_allocator_before_its_work(monkeypatch, capsys, argv, first_work):
+    calls, seen = record_mallopt(monkeypatch), []
+    work = getattr(cli, first_work)
+
+    def recording(*args, **kwargs):
+        seen.append(list(calls))
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(cli, first_work, recording)
+    assert run_cli(*argv) == 0
+    assert seen == [ALLOCATOR_SETTINGS]
 
 
 def test_verify_prints_failure_reasons(tmp_path, monkeypatch, capsys):

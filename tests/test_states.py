@@ -349,6 +349,31 @@ def test_non_finite_atom_rejected_by_field(atoms, field):
         PureState([Atom(*atom) for atom in atoms])
 
 
+@pytest.mark.parametrize(
+    "m, alpha",
+    [
+        ((1,), (0.5, -0.25)),
+        ([1], [0.5, -0.25]),
+        (np.array([1]), np.array([0.5, -0.25])),
+        ((np.int64(1),), (np.float64(0.5), -0.25)),
+    ],
+    ids=["tuple", "list", "ndarray", "numpy-scalars"],
+)
+def test_atom_coerces_m_and_alpha_to_tuples(m, alpha):
+    # an ndarray or list displacement used to make `_merge` raise
+    # "unhashable type" when a PureState was built from the atom
+    atom = Atom(m, alpha, 1.0)
+    assert atom.m == (1,) and atom.alpha == (0.5, -0.25)
+    assert all(type(mi) is int for mi in atom.m)
+    assert all(type(v) is float for v in atom.alpha)
+    state = PureState([atom, Atom(m, alpha, 0.5)])
+    assert state.atoms == (Atom((1,), (0.5, -0.25), 1.5),)
+    ys = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.array_equal(
+        state.evaluate(ys), PureState([Atom((1,), (0.5, -0.25), 1.5)]).evaluate(ys)
+    )
+
+
 @pytest.mark.parametrize("field, value", [("coeff", [math.nan, 0]), ("alpha", [0, math.nan])])
 def test_state_file_non_finite_names_the_atom(tmp_path, field, value):
     path = tmp_path / "nan.json"

@@ -719,6 +719,65 @@ def test_wigner_pointwise_equals_per_point(case):
     assert np.abs(wigner_pointwise(state, xs, ps, **kwargs) - oracle).max() <= 1e-15
 
 
+def off_lattice_rows_case(name):
+    """(rho, rows, momenta, lattice) whose rows miss the nodes' half-step
+    lattice, so every block evaluates the kernel per point."""
+    if name == "plateau":
+        # the plateau fit's product set: 401 rows in blocks of 16 would
+        # leave a last block of one row
+        rho = as_mixed(demo_state("plateau"))
+        xs = np.linspace(0.0025, 0.9975, PLATEAU_N_X)
+        ps = np.geomspace(PLATEAU_P_LO, PLATEAU_P_HI, PLATEAU_N_P)
+        return rho, xs, ps, Grid(1, 4096, 2.0 * rho.reach() + 2.0, kind="config")
+    if name == "mixture":
+        rho = random_mixture(np.random.default_rng(2))
+        xs, ps = np.linspace(-3.01, 3.03, 129), np.linspace(-4.0, 4.0, 9)
+        return rho, xs, ps, Grid(1, 1024, 10.0, kind="config")
+    rho = random_mixture(np.random.default_rng(5), n=2, max_order=2, disp=0.8)
+    xs, ps = np.linspace(-3.01, 3.03, 12), np.linspace(-2.0, 2.0, 5)
+    return rho, xs, ps, Grid(1, 32, 6.0, kind="config")
+
+
+@pytest.mark.parametrize("case", ["plateau", "mixture", "two-mode"])
+def test_rep_blocks_equal_one_million_value_chunks(case):
+    # the per-point oracle works in chunks of about 1M kernel values, the
+    # transforms in blocks of 64k: one row of a GEMM rounds the same in
+    # either, but a multi-axis PureState.evaluate may round its last bit
+    # differently with the size of the array it evaluates
+    rho, xs, ps, lattice = off_lattice_rows_case(case)
+    assert transforms._lattice_kernel(
+        rho, xs, lattice.axis(), 0.5 * lattice.spacing, "wigner"
+    ) is None
+    oracle = per_point_rep_on_grid(rho, xs, ps, lattice, "wigner")
+    if case == "two-mode":
+        got = transforms._rep_on_grid(rho, xs, ps, lattice, "wigner")
+        assert np.abs(got - oracle).max() <= 1e-15
+    else:
+        got = wigner_pointwise(rho, xs, ps, n_nodes=lattice.n_points,
+                               y_half=lattice.half_extent)
+        assert np.array_equal(got, oracle / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize(
+    "case, bound",
+    [("plateau-pointwise", 8e6), ("mixture-pointwise", 40e6), ("two-mode-grid", 64e6)],
+    ids=["plateau-pointwise", "mixture-pointwise", "two-mode-grid"],
+)
+def test_transform_blocks_bound_peak_memory(traced_peak, mixture, case, bound):
+    # traced peaks in chunks of about 1M kernel values: 65 MB, 385 MB, 165 MB
+    if case == "plateau-pointwise":
+        xs = np.linspace(0.0025, 0.9975, PLATEAU_N_X)
+        ps = np.geomspace(PLATEAU_P_LO, PLATEAU_P_HI, PLATEAU_N_P)
+        args = (wigner_pointwise, demo_state("plateau"), xs, ps)
+    elif case == "mixture-pointwise":
+        xs, ps = np.linspace(-3.01, 3.03, 301), np.linspace(-4.0, 4.0, 17)
+        args = (wigner_pointwise, mixture, xs, ps)
+    else:
+        two_mode = random_mixture(np.random.default_rng(3), n=2)
+        args = (wigner, two_mode, Grid(4, 32, 8.0))
+    assert traced_peak(*args) <= bound
+
+
 def test_wigner_pointwise_kernel_points_per_distinct_x(monkeypatch):
     seen = []
     kernel = MixedState.kernel
