@@ -91,6 +91,9 @@ def _config_value(key, value, where):
         if name not in DEFAULT_TOLERANCES:
             raise ValueError(f"{where}: unknown check in config key {key!r}")
         tol = number(float)
+        # nan would fail its check on every run, inf would never fail it
+        if not np.isfinite(tol):
+            raise ValueError(f"{where}: tolerance must be finite: {tol}")
         if tol <= 0:
             raise ValueError(f"{where}: tolerance must be positive: {tol}")
         return ("tol", name), tol

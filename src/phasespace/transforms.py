@@ -233,26 +233,38 @@ def _displaced_overlaps_quadrature(chi, alphas, psi):
     return out.reshape(alphas.shape[:-1])
 
 
+def _component_overlaps(rho, chi, points):
+    """<chi_alpha | psi_j> at the points, one array per component of nonzero
+    weight, computed lazily in component order; a non-analytic psi_j is
+    integrated by quadrature."""
+    if not chi.is_analytic:
+        raise ValueError("reference chi must be an analytic state")
+    points = np.asarray(points, dtype=float)
+    return (
+        displaced_overlaps(chi, points, ps)
+        if ps.is_analytic
+        else _displaced_overlaps_quadrature(chi, points, ps)
+        for w, ps in zip(rho.weights, rho.pure_states)
+        if w != 0.0
+    )
+
+
+def _matel_sum(rho, fas, fbs, shape):
+    """sum_j w_j fa_j conj(fb_j) over the components of nonzero weight, from
+    their `_component_overlaps` fas at alpha and fbs at beta."""
+    out = np.zeros(shape, dtype=complex)
+    for w, fa, fb in zip((w for w in rho.weights if w != 0.0), fas, fbs):
+        out = out + w * fa * np.conj(fb)
+    return out if out.ndim else complex(out)
+
+
 def matel(state, chi, alphas, betas):
     """M(alpha, beta) = <chi_alpha| rho |chi_beta>, batched and broadcast."""
     rho = as_mixed(state)
-    if not chi.is_analytic:
-        raise ValueError("reference chi must be an analytic state")
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    shape = np.broadcast_shapes(alphas.shape[:-1], betas.shape[:-1])
-    out = np.zeros(shape, dtype=complex)
-    for w, ps in zip(rho.weights, rho.pure_states):
-        if w == 0.0:
-            continue
-        if ps.is_analytic:
-            fa = displaced_overlaps(chi, alphas, ps)
-            fb = displaced_overlaps(chi, betas, ps)
-        else:
-            fa = _displaced_overlaps_quadrature(chi, alphas, ps)
-            fb = _displaced_overlaps_quadrature(chi, betas, ps)
-        out = out + w * fa * np.conj(fb)
-    return out if out.ndim else complex(out)
+    fas = _component_overlaps(rho, chi, alphas)
+    fbs = _component_overlaps(rho, chi, betas)
+    shape = np.broadcast_shapes(np.shape(alphas)[:-1], np.shape(betas)[:-1])
+    return _matel_sum(rho, fas, fbs, shape)
 
 
 class MatelSampler:
@@ -267,26 +279,12 @@ class MatelSampler:
         key = tuple(float(v) for v in point)
         got = self._cache.get(key)
         if got is None:
-            pt = np.asarray(key)
-            got = tuple(
-                displaced_overlaps(self.chi, pt, ps)
-                if ps.is_analytic
-                else complex(_displaced_overlaps_quadrature(self.chi, pt[None], ps)[0])
-                for ps in self.rho.pure_states
-            )
+            got = list(_component_overlaps(self.rho, self.chi, key))
             self._cache[key] = got
         return got
 
     def __call__(self, alpha, beta):
-        fa = self._overlaps(alpha)
-        fb = self._overlaps(beta)
-        return complex(
-            sum(
-                w * fa[j] * np.conj(fb[j])
-                for j, w in enumerate(self.rho.weights)
-                if w != 0.0
-            )
-        )
+        return _matel_sum(self.rho, self._overlaps(alpha), self._overlaps(beta), ())
 
 
 def wigner_pointwise(state, xs, ps, n_nodes=4096, y_half=None):
@@ -354,25 +352,37 @@ def twisted_convolution(f, g, form, alphas):
     alpha must lie on the lattice; f(alpha - beta) is read from the shifted
     samples of f, with zero padding outside the box.
     """
-    gd = g.grid
-    form = _twisted_form(f, g, form)
+    return _twisted_convolutions([(f, g)], form, alphas)[0]
+
+
+def _twisted_convolutions(pairs, form, alphas):
+    """`twisted_convolution` of each (f, g) pair, all on one grid, at the
+    same alphas: each alpha's phase row and shift indices are computed
+    once for every pair."""
+    gd = pairs[0][1].grid
+    for f, g in pairs:
+        if g.grid != gd:
+            raise ValueError("twisted convolution pairs must share a grid")
+        _twisted_form(f, g, form)
+    form = np.asarray(form, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     flat = alphas.reshape(-1, gd.dim)
     beta = gd.points().reshape(-1, gd.dim)
     phase_arg = beta @ form.T  # row b -> form.b evaluated at mesh points
-    gvals = np.asarray(g.values).reshape(-1)
-    f.at(flat)  # raises naming the first alpha off the lattice
+    pairs[0][0].at(flat)  # raises naming the first alpha off the lattice
     n_pts = gd.n_points
-    pad = np.pad(np.asarray(f.values, dtype=complex), n_pts // 2)
+    pads = [np.pad(np.asarray(f.values, dtype=complex), n_pts // 2) for f, _ in pairs]
+    gvals = [np.asarray(g.values).reshape(-1) for _, g in pairs]
     beta_idx = np.rint((beta + gd.half_extent) / gd.spacing).astype(int)
-    out = np.empty(flat.shape[0], dtype=complex)
+    out = np.empty((len(pairs), flat.shape[0]), dtype=complex)
     for i, a in enumerate(flat):
         phases = np.exp(0.5j * phase_arg @ a)
         ai = np.rint((a + gd.half_extent) / gd.spacing).astype(int)
         shift = ai[None, :] - beta_idx + n_pts
-        fv = pad[tuple(shift[:, k] for k in range(gd.dim))]
-        out[i] = (phases * fv * gvals).sum()
-    return (gd.spacing**gd.dim) * out.reshape(alphas.shape[:-1])
+        at = tuple(shift[:, k] for k in range(gd.dim))
+        for j, (pad, gv) in enumerate(zip(pads, gvals)):
+            out[j, i] = (phases * pad[at] * gv).sum()
+    return [(gd.spacing**gd.dim) * row.reshape(alphas.shape[:-1]) for row in out]
 
 
 def twisted_convolution_grid(f, g, form):

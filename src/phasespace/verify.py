@@ -40,14 +40,15 @@ from .states import (
     wigner_values,
 )
 from .transforms import (
+    _component_overlaps,
     _husimi_residual,
+    _matel_sum,
+    _twisted_convolutions,
     gaussian_atom_params,
-    matel,
     momentum_density,
     momentum_marginal,
     offdiag_wigner,
     quasichar,
-    twisted_convolution,
     twisted_convolution_grid,
     wigner,
     wigner_pointwise,
@@ -275,14 +276,18 @@ def check_reproducing(state, chi=None, samples=None, tol=None, seed=0):
     axis = -half + spacing * np.arange(n_nodes)
     mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     cell = spacing**2
+    # <chi_m | psi_j> on the mesh, once per component for every sample
+    f_mesh = list(_component_overlaps(rho, chi, mesh))
     resid = 0.0
     for alpha, beta in samples:
-        direct = matel(rho, chi, alpha, beta)
-        m_mesh_beta = matel(rho, chi, mesh, np.asarray(beta))
+        f_alpha = list(_component_overlaps(rho, chi, alpha))
+        f_beta = list(_component_overlaps(rho, chi, beta))
+        direct = _matel_sum(rho, f_alpha, f_beta, ())
+        m_mesh_beta = _matel_sum(rho, f_mesh, f_beta, mesh.shape[:-1])
         lhs_a = cell / (2.0 * np.pi) * (
             _coherent_overlaps(chi, alpha, mesh) * m_mesh_beta
         ).sum()
-        m_alpha_mesh = matel(rho, chi, np.asarray(alpha), mesh)
+        m_alpha_mesh = _matel_sum(rho, f_alpha, f_mesh, mesh.shape[:-1])
         lhs_b = cell / (2.0 * np.pi) * (
             m_alpha_mesh * np.conj(_coherent_overlaps(chi, beta, mesh))
         ).sum()
@@ -324,24 +329,28 @@ def check_wigner_from_matel(
     u_mesh = np.stack(
         np.meshgrid(half_axis, half_axis, indexing="ij"), -1
     )
-    f_half = [
-        displaced_overlaps(chi, u_mesh, ps) for ps in rho.pure_states
-    ]
-    weights = np.asarray(rho.weights)
+    # the K component overlaps stacked once: weighted on the left and
+    # conjugated on the right, so each (mx, mp) column is one product and
+    # one sum over the components, with (K, n, n) scratch
+    right = np.stack(
+        [displaced_overlaps(chi, u_mesh, ps) for ps in rho.pure_states]
+    )
+    left = np.asarray(rho.weights)[:, None, None] * right
+    np.conj(right, out=right)
+    # vx_tab[mp] = e^{i axis axis_mp / 2}, vp_tab[mx] = e^{-i axis axis_mx / 2};
+    # contiguous rows, since a strided vector sends the product down
+    # another BLAS path that rounds differently
+    vx_tab = np.exp((0.5j * axis)[None, :] * axis[:, None])
+    vp_tab = np.exp((-0.5j * axis)[None, :] * axis[:, None])
     g_vals = np.empty((n_nodes, n_nodes), dtype=complex)
     for mx in range(n_nodes):
         for mp in range(n_nodes):
-            col = np.zeros((n_nodes, n_nodes), dtype=complex)
-            for w, f in zip(weights, f_half):
-                left = f[
-                    n_nodes - mx : 3 * n_nodes - mx : 2,
-                    n_nodes - mp : 3 * n_nodes - mp : 2,
-                ]
-                right = f[mx : mx + 2 * n_nodes : 2, mp : mp + 2 * n_nodes : 2]
-                col += w * left * np.conj(right)
-            vx = np.exp(0.5j * axis * axis[mp])
-            vp = np.exp(-0.5j * axis * axis[mx])
-            g_vals[mx, mp] = s * s * (vx @ col @ vp)
+            col = (
+                left[:, n_nodes - mx : 3 * n_nodes - mx : 2,
+                     n_nodes - mp : 3 * n_nodes - mp : 2]
+                * right[:, mx : mx + 2 * n_nodes : 2, mp : mp + 2 * n_nodes : 2]
+            ).sum(0)
+            g_vals[mx, mp] = s * s * (vx_tab[mp] @ col @ vp_tab[mx])
     w_ref = ctx.w_rho()
     resid = 0.0
     for pt in points:
@@ -467,7 +476,7 @@ def check_twisted_expansion(state, chi=None, tol=None, seed=0, n_samples=25):
     if rho.n != 1:
         raise ValueError("twisted expansion check implemented for n=1")
     grid = TWISTED_GRID
-    orders = ((1, 0), (0, 1), (2, 0), (1, 1))
+    orders = [as_index(a) for a in ((1, 0), (0, 1), (2, 0), (1, 1))]
     form = 2.0 * omega_matrix(1)
     f_fn = wigner(as_mixed(chi), grid)
     g_fn = wigner(rho, grid)
@@ -475,17 +484,28 @@ def check_twisted_expansion(state, chi=None, tol=None, seed=0, n_samples=25):
     rng = np.random.default_rng(seed)
     idx = rng.integers(grid.n_points // 4, 3 * grid.n_points // 4, (n_samples, 2))
     pts = -grid.half_extent + grid.spacing * idx
-    resid = 0.0
+    # the binomial terms (coefficient, d^{a'} f, weighted g) of each order
+    expansions = []
     for a in orders:
-        a = as_index(a)
-        lhs = spectral_derivative(conv, a).at(pts)
-        rhs = np.zeros(len(pts), dtype=complex)
+        terms = []
         for a_sub in box(a):
             extra = sub(a, a_sub)
-            coeff = binom(a, a_sub) * 2.0 ** (-order(extra))
-            f_deriv = spectral_derivative(f_fn, a_sub)
-            g_weighted = _weighted_g_values(g_fn, form, extra)
-            rhs += coeff * twisted_convolution(f_deriv, g_weighted, form, pts)
+            terms.append((
+                binom(a, a_sub) * 2.0 ** (-order(extra)),
+                spectral_derivative(f_fn, a_sub),
+                _weighted_g_values(g_fn, form, extra),
+            ))
+        expansions.append(terms)
+    # one call for every term, so each point's phase row is computed once
+    convs = iter(_twisted_convolutions(
+        [(f, g) for terms in expansions for _, f, g in terms], form, pts
+    ))
+    resid = 0.0
+    for a, terms in zip(orders, expansions):
+        lhs = spectral_derivative(conv, a).at(pts)
+        rhs = np.zeros(len(pts), dtype=complex)
+        for coeff, _, _ in terms:
+            rhs += coeff * next(convs)
         resid = max(resid, float(np.abs(lhs - rhs).max()))
     return _report(
         "twisted-expansion", resid, tol, n_samples * len(orders), grid, seed
@@ -557,7 +577,8 @@ def check_plateau_decay(seed=0):
 
 
 def worker_count():
-    """PHASESPACE_THREADS as a pool size; 0 or unset means one per CPU."""
+    """PHASESPACE_THREADS as a pool size; 0 or unset means one per CPU this
+    process may run on (its affinity mask where the platform has one)."""
     env = os.environ.get("PHASESPACE_THREADS", "0")
     try:
         n_workers = int(env)
@@ -567,7 +588,11 @@ def worker_count():
         raise ValueError(
             f"PHASESPACE_THREADS must be a nonnegative integer, got {env!r}"
         )
-    return n_workers or os.cpu_count() or 1
+    if n_workers:
+        return n_workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def suite_plan(state, demo=None):

@@ -118,6 +118,8 @@ def test_parse_config_full(tmp_path):
         ("seed = -1", ">= 0"),
         ("tol.warp = 1e-3", "unknown check"),
         ("tol.duality = 0", "positive"),
+        ("tol.duality = nan", "finite"),
+        ("tol.trace = inf", "finite"),
         ("just words", "key = value"),
     ],
 )
@@ -533,6 +535,15 @@ def test_config_grid_n_names_power_of_two_line(tmp_path, no_transforms, capsys):
     assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 2
     err = capsys.readouterr().err
     assert f"{cfg}:1:" in err and "power of two" in err
+
+
+@pytest.mark.parametrize("line", ["tol.duality = nan", "tol.trace = inf"])
+def test_config_non_finite_tolerance_exits_2(tmp_path, no_transforms, capsys, line):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("seed = 3\n" + line + "\n")
+    assert run_cli("verify", "--demo", "vacuum", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and "tolerance must be finite" in err
 
 
 def test_wigner_grid_flag_not_power_of_two(no_transforms, capsys):

@@ -373,6 +373,76 @@ def test_twisted_convolution_grid_matches_pointwise_everywhere(n_pts, half, scal
     assert np.abs(conv - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
+def twisted_convolution_per_pair(f, g, form, alphas):
+    """Reference route: the one-pair sum, its phase row built per alpha."""
+    gd = g.grid
+    form = transforms._twisted_form(f, g, form)
+    alphas = np.asarray(alphas, dtype=float)
+    flat = alphas.reshape(-1, gd.dim)
+    beta = gd.points().reshape(-1, gd.dim)
+    phase_arg = beta @ form.T  # row b -> form.b evaluated at mesh points
+    gvals = np.asarray(g.values).reshape(-1)
+    f.at(flat)  # raises naming the first alpha off the lattice
+    n_pts = gd.n_points
+    pad = np.pad(np.asarray(f.values, dtype=complex), n_pts // 2)
+    beta_idx = np.rint((beta + gd.half_extent) / gd.spacing).astype(int)
+    out = np.empty(flat.shape[0], dtype=complex)
+    for i, a in enumerate(flat):
+        phases = np.exp(0.5j * phase_arg @ a)
+        ai = np.rint((a + gd.half_extent) / gd.spacing).astype(int)
+        shift = ai[None, :] - beta_idx + n_pts
+        fv = pad[tuple(shift[:, k] for k in range(gd.dim))]
+        out[i] = (phases * fv * gvals).sum()
+    return (gd.spacing**gd.dim) * out.reshape(alphas.shape[:-1])
+
+
+def twisted_cases():
+    """(f, g, form, alphas) of the twisted convolution tests above."""
+    g64, g128 = Grid(2, 64, 8.0), Grid(2, 128, 10.0)
+    f64 = gaussian_grid_fn(g64)
+    cases = [
+        (f64, f64, np.zeros((2, 2)), [[0.0, 0.0], [g64.spacing * 4, -g64.spacing * 2]]),
+        (gaussian_grid_fn(g128), gaussian_grid_fn(g128), omega_matrix(1), np.zeros((1, 2))),
+        (f64, f64, 2.0 * omega_matrix(1), g64.spacing * np.array([[6.0, -3.0], [0.0, 5.0]])),
+        (f64, gaussian_grid_fn(g64, width=0.7), omega_matrix(1), [-8.0 + g64.spacing * 40, 0.0]),
+    ]
+    # every lattice point of the 16-point grid, every 4th of the 64-point one
+    for n_pts, half, every in ((16, 4.0, 1), (64, 8.0, 4)):
+        g = Grid(2, n_pts, half)
+        xm, pm = mesh_of(g)
+        f = PhaseSpaceFn(g, np.exp(-0.5 * (xm**2 + pm**2) + 0.3j * xm), "f")
+        h = PhaseSpaceFn(g, np.exp(-0.7 * ((xm - 1.0) ** 2 + pm**2)), "h")
+        pts = np.stack([xm, pm], -1)[::every, ::every]
+        cases += [(f, h, scale * omega_matrix(1), pts) for scale in (0.0, 1.0, 2.0, 0.7)]
+    return cases
+
+
+def test_twisted_convolution_matches_per_pair_route():
+    for f, g, form, alphas in twisted_cases():
+        got = twisted_convolution(f, g, form, alphas)
+        want = twisted_convolution_per_pair(f, g, form, alphas)
+        assert np.array_equal(got, want) and got.shape == want.shape
+
+
+def test_twisted_convolutions_reject_pairs_on_two_grids():
+    f, h = gaussian_grid_fn(Grid(2, 64, 8.0)), gaussian_grid_fn(Grid(2, 16, 4.0))
+    with pytest.raises(ValueError, match="share a grid"):
+        transforms._twisted_convolutions([(f, f), (h, h)], omega_matrix(1), [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("form,alphas", [
+    (omega_matrix(1), [[0.1234, 0.0]]),
+    (np.eye(2), np.zeros((1, 2))),
+])
+def test_twisted_convolution_errors_match_per_pair_route(form, alphas):
+    f = gaussian_grid_fn(Grid(2, 64, 8.0))
+    with pytest.raises(ValueError) as want:
+        twisted_convolution_per_pair(f, f, form, alphas)
+    with pytest.raises(ValueError) as got:
+        twisted_convolution(f, f, form, alphas)
+    assert str(got.value) == str(want.value)
+
+
 def test_twisted_convolution_grid_rejects_dim4():
     g = Grid(4, 8, 4.0)
     f = PhaseSpaceFn(g, np.ones(g.shape(), dtype=complex), "f")

@@ -44,7 +44,13 @@ from phasespace.verify import (
     worker_count,
 )
 from phasespace import bounds, transforms, verify
-from phasespace.grid import omega_matrix, symplectic_form, symplectic_fourier
+from phasespace.grid import (
+    omega_matrix,
+    spectral_derivative,
+    symplectic_form,
+    symplectic_fourier,
+)
+from phasespace.multiindex import as_index, binom, box, order, sub
 from phasespace.states import as_mixed, displaced_overlaps, random_mixture
 from phasespace.transforms import (
     MatelSampler,
@@ -184,6 +190,86 @@ def test_reproducing_rejects_n2():
         check_reproducing(vacuum_state(2))
 
 
+def matel_per_component(state, chi, alphas, betas):
+    """Reference `matel`: both overlaps computed afresh per component."""
+    rho = as_mixed(state)
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    shape = np.broadcast_shapes(alphas.shape[:-1], betas.shape[:-1])
+    out = np.zeros(shape, dtype=complex)
+    for w, ps in zip(rho.weights, rho.pure_states):
+        if w == 0.0:
+            continue
+        if ps.is_analytic:
+            fa = displaced_overlaps(chi, alphas, ps)
+            fb = displaced_overlaps(chi, betas, ps)
+        else:
+            fa = transforms._displaced_overlaps_quadrature(chi, alphas, ps)
+            fb = transforms._displaced_overlaps_quadrature(chi, betas, ps)
+        out = out + w * fa * np.conj(fb)
+    return out if out.ndim else complex(out)
+
+
+def reproducing_per_sample(ctx, samples):
+    """Reference residual: three matrix-element calls per sample, each
+    computing the mesh overlaps again."""
+    rho, chi = ctx.rho, ctx.chi
+    spacing, half = 0.5, 12.0
+    n_nodes = int(round(2.0 * half / spacing))
+    axis = -half + spacing * np.arange(n_nodes)
+    mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    cell = spacing**2
+    resid = 0.0
+    for alpha, beta in samples:
+        direct = matel_per_component(rho, chi, alpha, beta)
+        m_mesh_beta = matel_per_component(rho, chi, mesh, np.asarray(beta))
+        lhs_a = cell / (2.0 * np.pi) * (
+            verify._coherent_overlaps(chi, alpha, mesh) * m_mesh_beta
+        ).sum()
+        m_alpha_mesh = matel_per_component(rho, chi, np.asarray(alpha), mesh)
+        lhs_b = cell / (2.0 * np.pi) * (
+            m_alpha_mesh * np.conj(verify._coherent_overlaps(chi, beta, mesh))
+        ).sum()
+        resid = max(resid, abs(lhs_a - direct), abs(lhs_b - direct))
+    return resid
+
+
+def oracle_state(which):
+    """fock1, a seeded two-component mixture, or an eight-component one."""
+    if which == "fock1":
+        return fock_state(1)
+    if which == "mixture":
+        return random_mixture(np.random.default_rng(1))
+    return random_mixture(np.random.default_rng(48), n_components=8)
+
+
+@pytest.mark.parametrize("which", ["fock1", "mixture", "mixture8"])
+def test_reproducing_matches_per_sample_route(which):
+    ctx = BoundContext(oracle_state(which))
+    samples = list(np.random.default_rng(5).uniform(-1.5, 1.5, (10, 2, 2)))
+    got = check_reproducing(ctx, samples=samples).residual
+    assert got == reproducing_per_sample(ctx, samples)
+
+
+def test_reproducing_nongaussian_window_matches_per_sample_route(vacuum):
+    ctx = BoundContext(vacuum, nongaussian_window())
+    got = check_reproducing(ctx, samples=SAMPLES3).residual
+    assert got == reproducing_per_sample(ctx, SAMPLES3)
+
+
+def test_matel_matches_per_component_route(mixture):
+    # a zero-weight component is skipped, and a non-analytic one integrated
+    rho = MixedState(
+        [0.5, 0.0, 0.5], [mixture.pure_states[0], fock_state(2), demo_state("plateau")]
+    )
+    chi = nongaussian_window()
+    pts = np.random.default_rng(9).uniform(-1.5, 1.5, (7, 2))
+    for alphas, betas in ((pts, pts[3]), (pts[0], pts[1]), (pts[:, None], pts)):
+        got = matel(rho, chi, alphas, betas)
+        want = matel_per_component(rho, chi, alphas, betas)
+        assert np.array_equal(got, want) and type(got) is type(want)
+
+
 # --- 4-D identities ---------------------------------------------------------
 
 
@@ -203,6 +289,58 @@ def test_from_matel_linear_in_state(grid):
     r0 = check_wigner_from_matel(vacuum_state(1), **kw).residual
     r1 = check_wigner_from_matel(fock_state(1), **kw).residual
     assert r_mix <= 0.6 * r0 + 0.4 * r1 + 1e-12
+
+
+def wigner_from_matel_per_column(ctx, n_nodes=48):
+    """Reference residual: each (mx, mp) column summed component by
+    component, with its two phase vectors computed afresh."""
+    ctx, points, axis = verify._four_d_lattice(ctx, None, None, None, n_nodes)
+    rho, chi, s = ctx.rho, ctx.chi, 0.4
+    half_axis = 0.5 * s * (np.arange(3 * n_nodes) - 3 * n_nodes // 2)
+    u_mesh = np.stack(
+        np.meshgrid(half_axis, half_axis, indexing="ij"), -1
+    )
+    f_half = [
+        displaced_overlaps(chi, u_mesh, ps) for ps in rho.pure_states
+    ]
+    weights = np.asarray(rho.weights)
+    g_vals = np.empty((n_nodes, n_nodes), dtype=complex)
+    for mx in range(n_nodes):
+        for mp in range(n_nodes):
+            col = np.zeros((n_nodes, n_nodes), dtype=complex)
+            for w, f in zip(weights, f_half):
+                left = f[
+                    n_nodes - mx : 3 * n_nodes - mx : 2,
+                    n_nodes - mp : 3 * n_nodes - mp : 2,
+                ]
+                right = f[mx : mx + 2 * n_nodes : 2, mp : mp + 2 * n_nodes : 2]
+                col += w * left * np.conj(right)
+            vx = np.exp(0.5j * axis * axis[mp])
+            vp = np.exp(-0.5j * axis * axis[mx])
+            g_vals[mx, mp] = s * s * (vx @ col @ vp)
+    w_ref = ctx.w_rho()
+    resid = 0.0
+    for pt in points:
+        wx = np.exp(1j * pt[1] * axis)
+        wp = np.exp(-1j * pt[0] * axis)
+        val = s * s / (2.0 * np.pi) ** 3 * (wx @ g_vals @ wp)
+        ref = w_ref.at(pt)
+        resid = max(resid, abs(val - ref))
+    return resid
+
+
+@pytest.mark.parametrize("which", ["fock1", "mixture", "mixture8"])
+def test_from_matel_matches_per_column_route(which, grid):
+    ctx = BoundContext(oracle_state(which), grid=grid)
+    assert check_wigner_from_matel(ctx).residual == wigner_from_matel_per_column(ctx)
+
+
+def test_from_matel_peak_memory_eight_components(grid, traced_peak):
+    # the (K, n, n) column scratch: 7.0 MB per component loop, 8.6 MB folded;
+    # a block over every mp of one mx, (K, n, n, n), traced 52 MB
+    ctx = BoundContext(oracle_state("mixture8"), grid=grid)
+    ctx.w_rho()
+    assert traced_peak(check_wigner_from_matel, ctx) < 12e6
 
 
 def test_from_matel_rejects_too_many_points(vacuum, grid):
@@ -405,6 +543,41 @@ def test_twisted_expansion(mixture):
     assert report.residual < 1e-5
 
 
+def twisted_expansion_per_term(ctx, seed, n_samples=25):
+    """Reference residual: one twisted convolution call per binomial term,
+    each through the one-pair route checked in test_transforms.py."""
+    rho, chi = ctx.rho, ctx.chi
+    grid = verify.TWISTED_GRID
+    orders = ((1, 0), (0, 1), (2, 0), (1, 1))
+    form = 2.0 * omega_matrix(1)
+    f_fn = wigner(as_mixed(chi), grid)
+    g_fn = wigner(rho, grid)
+    conv = transforms.twisted_convolution_grid(f_fn, g_fn, form)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(grid.n_points // 4, 3 * grid.n_points // 4, (n_samples, 2))
+    pts = -grid.half_extent + grid.spacing * idx
+    resid = 0.0
+    for a in orders:
+        a = as_index(a)
+        lhs = spectral_derivative(conv, a).at(pts)
+        rhs = np.zeros(len(pts), dtype=complex)
+        for a_sub in box(a):
+            extra = sub(a, a_sub)
+            coeff = binom(a, a_sub) * 2.0 ** (-order(extra))
+            f_deriv = spectral_derivative(f_fn, a_sub)
+            g_weighted = verify._weighted_g_values(g_fn, form, extra)
+            rhs += coeff * twisted_convolution(f_deriv, g_weighted, form, pts)
+        resid = max(resid, float(np.abs(lhs - rhs).max()))
+    return resid
+
+
+@pytest.mark.parametrize("which", ["fock1", "mixture", "mixture8"])
+def test_twisted_expansion_matches_per_term_route(which):
+    ctx = BoundContext(oracle_state(which))
+    got = check_twisted_expansion(ctx, seed=11).residual
+    assert got == twisted_expansion_per_term(ctx, 11)
+
+
 # --- counterexample diagnostics ----------------------------------------------
 
 
@@ -544,6 +717,14 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 3
     monkeypatch.setenv("PHASESPACE_THREADS", "0")
     assert worker_count() >= 1
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    # under `taskset -c 0` the pool gets one worker, whatever os.cpu_count says
+    monkeypatch.delenv("PHASESPACE_THREADS", raising=False)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    assert worker_count() == 1
 
 
 def test_report_row_matches_header():
