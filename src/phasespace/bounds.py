@@ -33,7 +33,13 @@ from .seminorms import (
     seminorm_table,
 )
 from .states import as_mixed, vacuum_state
-from .transforms import _husimi_from_wigner, matel, offdiag_wigner, wigner
+from .transforms import (
+    _component_overlaps,
+    _husimi_from_wigner,
+    _matel_sum,
+    offdiag_wigner,
+    wigner,
+)
 
 DEFAULT_TOL = 1e-6
 CS_TOL = 1e-9
@@ -66,13 +72,20 @@ class BoundReport:
 
 
 def cauchy_schwarz_reports(state, chi, pairs):
-    """|M(alpha,beta)|^2 <= Q(alpha) Q(beta), one report per pair."""
+    """|M(alpha,beta)|^2 <= Q(alpha) Q(beta), one report per pair.
+
+    The overlaps <chi_alpha | psi_j> are computed once per side and serve
+    M(alpha, beta), Q(alpha) = M(alpha, alpha) and Q(beta) alike."""
     if len(pairs) == 0:
         return []
     alphas, betas = np.moveaxis(np.asarray(pairs, dtype=float), 1, 0)
-    m2 = np.abs(matel(state, chi, alphas, betas)) ** 2
-    q_a = matel(state, chi, alphas, alphas).real
-    q_b = matel(state, chi, betas, betas).real
+    rho = as_mixed(state)
+    f_alpha = list(_component_overlaps(rho, chi, alphas))
+    f_beta = list(_component_overlaps(rho, chi, betas))
+    shape = alphas.shape[:-1]
+    m2 = np.abs(_matel_sum(rho, f_alpha, f_beta, shape)) ** 2
+    q_a = _matel_sum(rho, f_alpha, f_alpha, shape).real
+    q_b = _matel_sum(rho, f_beta, f_beta, shape).real
     return [
         BoundReport(
             "cauchy-schwarz", (tuple(a), tuple(b)), float(lhs), float(qa * qb), CS_TOL

@@ -27,6 +27,11 @@ DEFAULT_BAND = 0.1
 DERIVATIVE_ORDER_CAP = 12
 # a state fits a box of half width L when its extent plus this margin is <= L
 BOX_MARGIN = 6.0
+# the blocked loops work on about this many values (1 MB of complex) at a
+# time: transform kernel values per block of rows, Fourier-matrix entries
+# per block of p points, quadrature nodes per block of displacements, and
+# atom pair-point values in the closed-form overlaps
+_BLOCK_VALUES = 65_536
 
 
 class GridResolutionError(RuntimeError):

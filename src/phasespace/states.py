@@ -16,11 +16,12 @@ Conventions (hbar = 1):
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import symplectic_form
+from .grid import _BLOCK_VALUES, symplectic_form
 from .multiindex import as_index
 
 
@@ -141,6 +142,37 @@ class PureState:
         coeffs = np.array([at.coeff for at in self.atoms], dtype=complex)
         return which, alpha, orders, top, coeffs
 
+    @functools.cached_property
+    def _overlap_plans(self):
+        """{psi: {rows: `_overlap_plan` blocks}}, filled by
+        `displaced_overlaps` with this state as chi; an entry goes with its
+        psi."""
+        return weakref.WeakKeyDictionary()
+
+    @functools.cached_property
+    def _overlap_tables(self):
+        """(alpha, coeffs, conj_coeffs, orders, members) for
+        `displaced_overlaps`, built on the first call: the displacements
+        (atoms, 2n), the coefficients and their conjugates as Python numbers
+        (a real coefficient stays real, as numpy's scalar `np.conj` keeps
+        it), the distinct order tuples and, for each, the indices of its
+        atoms in atom order."""
+        alpha = np.array([at.alpha for at in self.atoms])
+        coeffs = [
+            complex(at.coeff) if isinstance(at.coeff, complex) else float(at.coeff)
+            for at in self.atoms
+        ]
+        members = {}
+        for i, at in enumerate(self.atoms):
+            members.setdefault(at.m, []).append(i)
+        return (
+            alpha,
+            coeffs,
+            [c.conjugate() for c in coeffs],
+            list(members),
+            [np.array(idx) for idx in members.values()],
+        )
+
     def scaled(self, c):
         return PureState([Atom(a.m, a.alpha, c * a.coeff) for a in self.atoms])
 
@@ -160,7 +192,13 @@ class PureState:
         return PureState(out)
 
     def parity(self):
-        """Pi applied exactly: Pi c D_g phi_m = (-1)^{|m|} c D_{-g} phi_m."""
+        """Pi applied exactly: Pi c D_g phi_m = (-1)^{|m|} c D_{-g} phi_m,
+        built on the first call and kept with the state, so that repeated
+        `wigner_values` calls reuse its overlap tables."""
+        return self._parity
+
+    @functools.cached_property
+    def _parity(self):
         return PureState(
             [
                 Atom(at.m, tuple(-a for a in at.alpha), (-1) ** sum(at.m) * at.coeff)
@@ -428,6 +466,8 @@ def _factorial_ratio_sqrt(small, large):
 _LOG_RANGE = 700.0
 # a running Laguerre value past this is rescaled to [0.5, 1) by its exponent
 _LAGUERRE_RESCALE = 2.0**256
+# np.sqrt(2.0) to the bit, without a ufunc call per matrix element
+_SQRT2 = math.sqrt(2.0)
 
 
 def _genlaguerre(n, k, x):
@@ -471,7 +511,7 @@ def _genlaguerre(n, k, x):
     return np.where(inside, folded, value), np.where(inside, 0, e)
 
 
-def _dme_axis(m, n, zeta):
+def _dme_axis(m, n, zeta, lone_points):
     """<phi_m | D(zeta) | phi_n> for one axis; zeta any complex array.
 
     With k = |m - n| and w = zeta (m >= n) or -conj(zeta) (m < n) this is
@@ -479,24 +519,31 @@ def _dme_axis(m, n, zeta):
     the four factors would leave the double range (high orders, or a
     Gaussian factor that goes subnormal) log|L| = log|value| + e ln 2 joins
     the log-space amplitude and the phase e^{ik arg w} is put back
-    afterwards; elsewhere the direct product is kept.
+    afterwards; elsewhere the direct product is kept.  lone_points squares
+    w = -conj(zeta) as numpy squares a complex scalar, which a lone point
+    makes of it.
     """
     zeta = np.asarray(zeta, dtype=complex)
     r2 = (zeta * np.conj(zeta)).real
     small, k = min(m, n), abs(m - n)
     base = zeta if m >= n else -np.conj(zeta)
     log_ratio = 0.5 * (math.lgamma(small + 1) - math.lgamma(small + k + 1))
-    with np.errstate(divide="ignore"):
+    # one errstate for both guarded steps: entering one costs microseconds,
+    # a good part of a small call
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         log_pow = 0.5 * k * np.log(r2) if k else np.zeros_like(r2)
-    in_range = (log_ratio > -_LOG_RANGE) & (log_pow < _LOG_RANGE) & (
-        r2 < 2.0 * _LOG_RANGE
-    )
-    lag, e = _genlaguerre(small, k, r2)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        amp = _factorial_ratio_sqrt(small, small + k) * base**k * np.exp(-0.5 * r2)
+        in_range = (log_ratio > -_LOG_RANGE) & (log_pow < _LOG_RANGE) & (
+            r2 < 2.0 * _LOG_RANGE
+        )
+        lag, e = _genlaguerre(small, k, r2)
+        if lone_points and m < n and k == 2:
+            power = _scalar_multiply(base, base)
+        else:
+            power = base**k
+        amp = _factorial_ratio_sqrt(small, small + k) * power * np.exp(-0.5 * r2)
         out = np.asarray(amp * lag)
     far = ~(in_range & (e == 0))
-    if np.any(far):
+    if far.any():
         log_amp = log_ratio + log_pow[far] - 0.5 * r2[far]
         log_lag = np.log(np.abs(lag[far])) + e[far] * math.log(2.0)
         out[far] = np.sign(lag[far]) * np.exp(
@@ -505,11 +552,15 @@ def _dme_axis(m, n, zeta):
     return out
 
 
-def displacement_matrix_element(m, n, xi):
+def displacement_matrix_element(m, n, xi, *, _lone_points=False):
     """<phi_m | D_xi | phi_n> for multi-axis orders; xi shape (..., 2n).
 
     Uses the generalized-Laguerre closed form with zeta_i =
-    (xi_x,i + i xi_p,i)/sqrt(2) per axis.
+    (xi_x,i + i xi_p,i)/sqrt(2) per axis.  numpy rounds a lone point (xi
+    of shape (2n,)) in scalar arithmetic, whose complex square differs
+    from the array loops' in the last bit; `_lone_points` rounds every
+    point of the batch that way, for `displaced_overlaps` stacking lone
+    points.
     """
     m = tuple(m)
     n_ = tuple(n)
@@ -517,10 +568,14 @@ def displacement_matrix_element(m, n, xi):
     naxes = len(m)
     if len(n_) != naxes or xi.shape[-1] != 2 * naxes:
         raise ValueError("order/displacement dimensions disagree")
-    zeta = (xi[..., :naxes] + 1j * xi[..., naxes:]) / np.sqrt(2.0)
+    zeta = (xi[..., :naxes] + 1j * xi[..., naxes:]) / _SQRT2
     out = np.ones(xi.shape[:-1], dtype=complex)
     for i in range(naxes):
-        out = out * _dme_axis(m[i], n_[i], zeta[..., i])
+        # the ufunc call pins the operand order: from 256 KiB on, `*` would
+        # compute the product into the right-hand temporary, swapping the
+        # operands of numpy's complex multiply, which is not bitwise
+        # commutative
+        out = np.multiply(out, _dme_axis(m[i], n_[i], zeta[..., i], _lone_points))
     return out
 
 
@@ -532,23 +587,171 @@ def pure_overlap(phi, psi):
 
 
 def displaced_overlaps(chi, alphas, psi):
-    """<D_alpha chi | psi> for a batch of alphas, shape (..., 2n)."""
+    """<D_alpha chi | psi> for a batch of alphas, shape (..., 2n).
+
+    Each atom pair (c D_delta phi_m of chi, d D_gamma phi_m' of psi)
+    contributes conj(c) d e^{-i (delta /\\ alpha + gamma /\\ (alpha +
+    delta)) / 2} <phi_m | D_{gamma - alpha - delta} | phi_m'>.  The pairs are
+    formed at once, in fixed blocks of chi atoms x psi atoms x points that
+    hold at most _BLOCK_VALUES values per array, with one
+    `displacement_matrix_element` call per distinct order pair and block.
+    Every value is the per-pair loop's, bit for bit: the terms are added
+    one pair at a time in (chi atom, psi atom) order, and each product
+    keeps its operands' order and rounding.
+    """
+    n = psi.n
+    if chi.n != n:
+        raise ValueError(f"overlap of a {chi.n}-mode chi with a {n}-mode psi")
     alphas = np.asarray(alphas, dtype=float)
-    out = np.zeros(alphas.shape[:-1], dtype=complex)
-    for ac in chi.atoms:
-        delta = np.asarray(ac.alpha, dtype=float)
-        chi_phase = -0.5j * symplectic_form(delta, alphas)
-        shifted = alphas + delta
-        for ap in psi.atoms:
-            gamma = np.asarray(ap.alpha, dtype=float)
-            phase = np.exp(chi_phase - 0.5j * symplectic_form(gamma, shifted))
-            out += (
-                np.conj(ac.coeff)
-                * ap.coeff
-                * phase
-                * displacement_matrix_element(ac.m, ap.m, gamma - alphas - delta)
+    if alphas.shape[-1:] != (2 * n,):
+        raise ValueError(
+            f"displacements of {n}-mode states need a last axis of length"
+            f" 2n = {2 * n}, got shape {alphas.shape}"
+        )
+    flat = alphas.reshape(-1, 2 * n)
+    if len(flat) == 0:
+        return np.zeros(alphas.shape[:-1], dtype=complex)
+    width, n_chi, n_psi = 2 * n, len(chi.atoms), len(psi.atoms)
+    # whole rows of psi atoms, or one chi atom's row cut in pieces, so that
+    # the blocks follow each other in pair order.  Many rows per block only
+    # while all points fit one block, as in a norm: at more points a row
+    # block calls the matrix element once per psi order, where a taller
+    # block calls it once per (chi order, psi order) on as many values
+    cols = min(n_psi, max(1, _BLOCK_VALUES // width))
+    rows = 1
+    if cols == n_psi:
+        rows = min(n_chi, max(1, _BLOCK_VALUES // (width * n_psi * len(flat))))
+    plans = chi._overlap_plans.get(psi)
+    if plans is None:
+        plans = chi._overlap_plans[psi] = {}
+    if rows not in plans:
+        plans[rows] = _overlap_plan(chi, psi, rows, cols)
+    blocks = plans[rows]
+    point_step = max(1, _BLOCK_VALUES // (width * rows * cols))
+    # one point of shape (2n,) went through numpy's scalar arithmetic,
+    # whose complex multiply rounds differently from the array loops'
+    lone = alphas.ndim == 1
+    parts = []
+    for p0 in range(0, len(flat), point_step):
+        a = flat[p0 : p0 + point_step]
+        acc = np.zeros(len(a), dtype=complex)
+        for block in blocks:
+            terms = _pair_terms(a, *block, lone)
+            acc = _add_in_order(acc, terms.reshape(-1, len(a)))
+        parts.append(acc)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out.reshape(alphas.shape[:-1])
+
+
+def _overlap_plan(chi, psi, rows, cols):
+    """The blocks of `displaced_overlaps` of chi with psi, rows chi atoms
+    by cols psi atoms each, in pair order.  A block is (chi displacements
+    (rows, 1, 2n), psi displacements (cols, 1, 2n), coefficient products
+    (rows, cols, 1), order groups (m, m', chi rows, psi cols))."""
+    delta, _, chi_conj, chi_orders, chi_members = chi._overlap_tables
+    gamma, psi_coeffs, _, psi_orders, psi_members = psi._overlap_tables
+    # conj(c) d as a scalar product, as numpy's scalar arithmetic forms it
+    coeffs = np.array([[c * d for d in psi_coeffs] for c in chi_conj], dtype=complex)
+    n_chi, n_psi = coeffs.shape
+    blocks = []
+    for i0 in range(0, n_chi, rows):
+        for j0 in range(0, n_psi, cols):
+            i1, j1 = min(i0 + rows, n_chi), min(j0 + cols, n_psi)
+            chi_in = [
+                (mc, _members_within(ic, i0, i1))
+                for mc, ic in zip(chi_orders, chi_members)
+            ]
+            psi_in = [
+                (mp, _members_within(jp, j0, j1))
+                for mp, jp in zip(psi_orders, psi_members)
+            ]
+            groups = [
+                (mc, mp, ic, jp)
+                for mc, ic in chi_in
+                if len(ic)
+                for mp, jp in psi_in
+                if len(jp)
+            ]
+            blocks.append(
+                (
+                    delta[i0:i1, None, :],
+                    gamma[j0:j1, None, :],
+                    coeffs[i0:i1, j0:j1, None],
+                    groups,
+                )
             )
+    return blocks
+
+
+def _members_within(members, lo, hi):
+    """The atom indices in [lo, hi) of a sorted member array, from lo."""
+    if lo == 0 and members[-1] < hi:
+        return members
+    lo_at, hi_at = np.searchsorted(members, (lo, hi))
+    return members[lo_at:hi_at] - lo
+
+
+def _pair_terms(alphas, delta, gamma, coeffs, groups, lone):
+    """(chi atoms, psi atoms, points) terms of `displaced_overlaps` for one
+    `_overlap_plan` block at the points alphas (points, 2n).  Each step is
+    the per-pair loop's: the chi phase and alpha + delta per chi atom,
+    gamma - alpha per psi atom.  Both complex products keep the per-pair
+    operand order by calling the ufunc, never `*`, which computes a product
+    of 256 KiB or more into its right-hand temporary (numpy's complex
+    multiply is not bitwise commutative), nor in place, which rounds a
+    one-element product differently.  lone rounds them, and the matrix
+    elements, as numpy's scalar arithmetic does for one point of shape
+    (2n,)."""
+    multiply = _scalar_multiply if lone else np.multiply
+    chi_phase = -0.5j * symplectic_form(delta, alphas)
+    shifted = alphas + delta
+    phase = np.exp(
+        chi_phase[:, None] - 0.5j * symplectic_form(gamma, shifted[:, None])
+    )
+    terms = multiply(coeffs, phase)
+    gap = gamma - alphas
+    if len(groups) == 1:
+        # one order pair: the whole block in one call, without gathers
+        ((mc, mp, _, _),) = groups
+        dme = _matrix_elements(mc, mp, gap - delta[:, None], lone)
+        return multiply(terms, dme)
+    dme = np.empty(terms.shape, dtype=complex)
+    for mc, mp, ic, jp in groups:
+        dme[ic[:, None], jp] = _matrix_elements(
+            mc, mp, gap[jp] - delta[ic, None], lone
+        )
+    return multiply(terms, dme)
+
+
+def _matrix_elements(m, n, xi, lone):
+    """`displacement_matrix_element` of a stack of displacements (..., 2n),
+    called on them as one flat batch: numpy's per-call cost grows with the
+    number of axes."""
+    flat = xi.reshape(-1, xi.shape[-1])
+    return displacement_matrix_element(m, n, flat, _lone_points=lone).reshape(
+        xi.shape[:-1]
+    )
+
+
+def _scalar_multiply(x, y):
+    """x * y with numpy's scalar rounding: each real product rounded on
+    its own, where the array loops fuse a multiply-add."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
     return out
+
+
+def _add_in_order(acc, terms):
+    """acc + terms[0] + terms[1] + ..., one add per row in row order: never
+    numpy's pairwise summation, which regroups 8 or more terms.  Many rows
+    of few points go through one accumulate, few long rows row by row."""
+    if len(terms) > terms.shape[1]:
+        terms[0] += acc
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+    for row in terms:
+        acc += row
+    return acc
 
 
 def quasichar_values(state, xis):

@@ -13,16 +13,18 @@ semidiscrete DFT matrices like the grid module does.
 
 import numpy as np
 
-from .grid import Grid, GridResolutionError, PhaseSpaceFn, symplectic_fourier
+from .grid import (
+    _BLOCK_VALUES,
+    Grid,
+    GridResolutionError,
+    PhaseSpaceFn,
+    symplectic_fourier,
+)
 from .states import as_mixed, displaced_overlaps
 
 QUASICHAR_CROSS_TOL = 1e-6
 HUSIMI_CROSS_TOL = 1e-6
 HUSIMI_NEGATIVITY_FLOOR = -1e-7
-# the chunked loops below work on about this many values (1 MB of complex)
-# at a time: kernel values per block of rows, Fourier-matrix entries per
-# block of p points, quadrature nodes per block of displacements
-_BLOCK_VALUES = 65_536
 
 
 def _mesh(axis, n):

@@ -17,6 +17,7 @@ from phasespace import (
     offdiag_bound_rhs,
     offdiag_grid_fn,
     random_mixture,
+    random_pure_state,
     seminorm,
     seminorm_table,
     suggest_grid,
@@ -73,6 +74,37 @@ def test_cs_strict_for_mixtures(mixture):
     # a rank >= 2 state cannot saturate the bound at generic off-diagonal
     # pairs, so the sweep must see genuinely strict cases
     assert min(ratios) < 0.99
+
+
+def cauchy_schwarz_by_three_matel(state, chi, pairs):
+    """(lhs, rhs) per pair from M(alpha, beta), M(alpha, alpha) and
+    M(beta, beta) as three separate `matel` calls."""
+    alphas, betas = np.moveaxis(np.asarray(pairs, dtype=float), 1, 0)
+    m2 = np.abs(transforms.matel(state, chi, alphas, betas)) ** 2
+    q_a = transforms.matel(state, chi, alphas, alphas).real
+    q_b = transforms.matel(state, chi, betas, betas).real
+    return [(float(lhs), float(qa * qb)) for lhs, qa, qb in zip(m2, q_a, q_b)]
+
+
+@pytest.mark.parametrize(
+    "state, chi",
+    [
+        (fock_state(1), vacuum_state(1)),
+        (random_mixture(np.random.default_rng(4), n_components=2), vacuum_state(1)),
+        (
+            random_mixture(np.random.default_rng(6)),
+            random_pure_state(np.random.default_rng(8), n_atoms=4),
+        ),
+    ],
+    ids=["fock1", "mixture", "four-atom-window"],
+)
+def test_cs_reports_equal_three_matel_route(state, chi):
+    # one overlap per side serves all three sums, value for value
+    draws = np.random.default_rng(12).uniform(-2.5, 2.5, size=(60, 2, 2))
+    pairs = [(row[0], row[1]) for row in draws]
+    reports = cauchy_schwarz_reports(state, chi, pairs)
+    expected = cauchy_schwarz_by_three_matel(state, chi, pairs)
+    assert [(r.lhs, r.rhs) for r in reports] == expected
 
 
 # --- report mechanics ------------------------------------------------------

@@ -27,10 +27,12 @@ from phasespace import (
     wigner_pointwise,
     wigner_values,
 )
+from phasespace import states
 from phasespace.states import (
     HERMITE_MAX_ORDER,
     _factorial_ratio_sqrt,
     _genlaguerre,
+    displaced_overlaps,
     evaluate_components,
     hermite_values,
     pure_overlap,
@@ -841,3 +843,163 @@ def test_evaluate_components_is_each_states_evaluate(n):
 def test_evaluate_components_refuses_mixed_axis_counts():
     with pytest.raises(ValueError, match="share the number of axes"):
         evaluate_components([vacuum_state(1), vacuum_state(2)], np.zeros((3, 1)))
+
+
+# --- the batched atom-pair engine of the closed-form overlaps -------------------
+
+
+def displaced_overlaps_pair_loop(chi, alphas, psi):
+    """<D_alpha chi | psi> one (chi atom, psi atom) pair at a time: one
+    matrix element call per pair, terms added in pair order."""
+    alphas = np.asarray(alphas, dtype=float)
+    out = np.zeros(alphas.shape[:-1], dtype=complex)
+    for ac in chi.atoms:
+        delta = np.asarray(ac.alpha, dtype=float)
+        chi_phase = -0.5j * symplectic_form(delta, alphas)
+        shifted = alphas + delta
+        for ap in psi.atoms:
+            gamma = np.asarray(ap.alpha, dtype=float)
+            phase = np.exp(chi_phase - 0.5j * symplectic_form(gamma, shifted))
+            out += (
+                np.conj(ac.coeff)
+                * ap.coeff
+                * phase
+                * displacement_matrix_element(ac.m, ap.m, gamma - alphas - delta)
+            )
+    return out
+
+
+def assert_same_bits(got, expected):
+    # tobytes also tells signed zeros apart
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def engine_points(n, count):
+    """count seeded phase-space points, or one point of shape (2n,) when
+    count is None."""
+    rng = np.random.default_rng(count or 0)
+    if count is None:
+        return rng.uniform(-3.0, 3.0, 2 * n)
+    return rng.uniform(-3.0, 3.0, (count, 2 * n))
+
+
+# 20,000 points cross numpy's 256 KiB size for computing a product into
+# its right-hand temporary and span several blocks
+@pytest.mark.parametrize("count", [None, 1, 17, 700, 20_000])
+def test_displaced_overlaps_match_pair_loop_bitwise(count):
+    rho = random_mixture(np.random.default_rng(3))
+    window = random_pure_state(np.random.default_rng(4), n_atoms=5)
+    alphas = engine_points(1, count)
+    for chi, psi in [
+        (rho.pure_states[0], rho.pure_states[1]),
+        (rho.pure_states[1], rho.pure_states[1]),
+        (window, rho.pure_states[0]),
+        (vacuum_state(1), window),
+    ]:
+        assert_same_bits(
+            displaced_overlaps(chi, alphas, psi),
+            displaced_overlaps_pair_loop(chi, alphas, psi),
+        )
+    if count is not None:
+        # a leading axis of one point rounds as arrays do, not as one point
+        assert_same_bits(
+            displaced_overlaps(window, alphas[:1], rho.pure_states[1]),
+            displaced_overlaps_pair_loop(window, alphas[:1], rho.pure_states[1]),
+        )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_weighted_derivative_norms_match_pair_loop_bitwise(seed):
+    rho = random_mixture(np.random.default_rng(seed))
+    origin = np.zeros(2)
+    for psi in rho.pure_states:
+        for a, b in itertools.product(range(3), repeat=2):
+            state = psi.weighted_derivative((a,), (b,))
+            loop = displaced_overlaps_pair_loop(state, origin, state)
+            assert_same_bits(displaced_overlaps(state, origin, state), loop)
+            assert state.norm() == math.sqrt(max(complex(loop).real, 0.0))
+        assert_same_bits(
+            displaced_overlaps(psi, engine_points(1, 700), psi.parity()),
+            displaced_overlaps_pair_loop(psi, engine_points(1, 700), psi.parity()),
+        )
+
+
+@pytest.mark.parametrize("count", [None, 17, 700])
+def test_two_mode_overlaps_match_pair_loop_bitwise(count):
+    rho = random_mixture(np.random.default_rng(5), n_atoms=3, n=2)
+    alphas = engine_points(2, count)
+    for chi in rho.pure_states:
+        for psi in [*rho.pure_states, chi.parity()]:
+            assert_same_bits(
+                displaced_overlaps(chi, alphas, psi),
+                displaced_overlaps_pair_loop(chi, alphas, psi),
+            )
+
+
+def test_far_log_space_overlaps_match_pair_loop_bitwise():
+    # order 200 at |xi| = 20 has an amplitude past 200!, and order 300 at
+    # |xi| = 24.5 a power |zeta|^300 past the double range: the log-space
+    # branch of the matrix element
+    chi = PureState([Atom((200,), (0.0, 0.0), 1.0), Atom((300,), (0.5, 0.0), 0.5j)])
+    psi = PureState([Atom((0,), (20.0, 0.0), 1.0), Atom((2,), (24.5, 0.3), -0.25)])
+    alphas = np.array([[0.0, 0.0], [0.3, -0.2], [-1.0, 0.5]])
+    for points in [alphas, alphas[1]]:
+        assert_same_bits(
+            displaced_overlaps(chi, points, psi),
+            displaced_overlaps_pair_loop(chi, points, psi),
+        )
+
+
+def test_small_blocks_match_pair_loop_bitwise(monkeypatch):
+    # blocks of a few pairs and points: rows of psi atoms cut in pieces,
+    # several point blocks, order groups split across blocks
+    rho = random_mixture(np.random.default_rng(7))
+    state = rho.pure_states[1].weighted_derivative((1,), (0,))
+    alphas = engine_points(1, 9)
+    expected = displaced_overlaps_pair_loop(state, alphas, state)
+    for block in [6, 40, 400]:
+        monkeypatch.setattr(states, "_BLOCK_VALUES", block)
+        assert_same_bits(displaced_overlaps(state, alphas, state), expected)
+
+
+def test_norm_calls_matrix_element_once_per_order_pair(monkeypatch):
+    calls = []
+    matrix_element = states.displacement_matrix_element
+
+    def counted(*args, **kw):
+        calls.append(args[:2])
+        return matrix_element(*args, **kw)
+
+    rho = random_mixture(np.random.default_rng(14))
+    state = rho.pure_states[1].weighted_derivative((2,), (2,))
+    orders = {at.m for at in state.atoms}
+    assert len(state.atoms) == 44 and len(orders) == 8
+    monkeypatch.setattr(states, "displacement_matrix_element", counted)
+    state.norm()
+    assert len(calls) == len(set(calls)) == len(orders) ** 2
+
+
+def test_displaced_overlaps_memory_stays_in_blocks(traced_peak):
+    # every batched array holds at most 65,536 values, whatever the point
+    # count; the 264 pairs at once would take 84 MB per complex array here
+    rho = random_mixture(np.random.default_rng(14))
+    psi = rho.pure_states[1]
+    state = psi.weighted_derivative((2,), (2,))
+    assert (len(state.atoms), len(psi.atoms)) == (44, 6)
+    alphas = engine_points(1, 20_000)
+    assert traced_peak(displaced_overlaps, state, alphas, psi) < 12e6
+
+
+def test_parity_kept_with_the_state():
+    psi = random_pure_state(np.random.default_rng(9), n_atoms=3)
+    assert psi.parity() is psi.parity()
+    assert psi.parity().parity().atoms == psi.atoms
+
+
+def test_overlap_mode_count_mismatch_named():
+    with pytest.raises(ValueError, match="1-mode chi with a 2-mode psi"):
+        pure_overlap(vacuum_state(1), vacuum_state(2))
+    with pytest.raises(ValueError, match=r"2n = 2, got shape \(3,\)"):
+        displaced_overlaps(vacuum_state(1), np.zeros(3), vacuum_state(1))
