@@ -12,7 +12,7 @@ from .bounds import (
     BoundReport,
     cauchy_schwarz_reports,
     offdiag_bound_rhs,
-    offdiag_grid_fn,
+    offdiag_reports,
 )
 from .grid import (
     Grid,
@@ -103,7 +103,7 @@ __all__ = [
     "norm_sum",
     "norm_sum_from_table",
     "offdiag_bound_rhs",
-    "offdiag_grid_fn",
+    "offdiag_reports",
     "offdiag_wigner",
     "omega_matrix",
     "operator_seminorm",

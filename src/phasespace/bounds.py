@@ -108,6 +108,17 @@ def chi_seminorm_table(chi, a_max, b_max, grid=None):
     return seminorm_table(wigner(as_mixed(chi), grid), a_max, b_max)
 
 
+def _labels(a, alpha, beta):
+    """alpha and beta as float arrays of one entry per axis of a; a length-1
+    side would broadcast against the other, so both shapes are checked."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if alpha.shape != (len(a),) or beta.shape != (len(a),):
+        raise ValueError(f"alpha and beta need {len(a)} entries each, got shapes "
+                         f"{alpha.shape} and {beta.shape}")
+    return alpha, beta
+
+
 def offdiag_tight_rhs(table, a, b, alpha, beta):
     """Tight bound on |W_{chi_alpha, chi_beta}|_{a,b} from the window table:
 
@@ -119,13 +130,8 @@ def offdiag_tight_rhs(table, a, b, alpha, beta):
     |alpha|^{swap e} |beta|^{swap(c-e)}.
     """
     a, b = as_index(a), as_index(b)
-    alpha = np.abs(np.asarray(alpha, dtype=float))
-    beta = np.abs(np.asarray(beta, dtype=float))
-    # a length-1 alpha would broadcast against beta, so check both shapes
-    if alpha.shape != (len(a),) or beta.shape != (len(a),):
-        raise ValueError(f"alpha and beta need {len(a)} entries each, got shapes "
-                         f"{alpha.shape} and {beta.shape}")
-    reach = alpha + beta
+    alpha, beta = _labels(a, alpha, beta)
+    reach = np.abs(alpha) + np.abs(beta)
     by_c = [(sub(b, c), binom(b, c) * monomial(reach, swap_xp(c))) for c in box(b)]
     by_d = [(sub(a, d), binom(a, d) * 2.0 ** (-order(d)) * monomial(reach, d))
             for d in box(a)]
@@ -135,8 +141,9 @@ def offdiag_tight_rhs(table, a, b, alpha, beta):
 
 
 def offdiag_loose_rhs(table, a, b, alpha, beta):
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    """Loose bound on |W_{chi_alpha, chi_beta}|_{a,b} from the window table:
+    (4 (1 + ||alpha|| + ||beta||))^{|a|+|b|} times the box sum of |W_chi|."""
+    alpha, beta = _labels(as_index(a), alpha, beta)
     reach = 1.0 + np.linalg.norm(alpha) + np.linalg.norm(beta)
     total_order = order(a) + order(b)
     return float(
@@ -156,10 +163,27 @@ def offdiag_bound_rhs(chi, a, b, alpha, beta, variant, table=None):
     return rhs(table, a, b, alpha, beta)
 
 
-def offdiag_grid_fn(chi, alpha, beta, grid):
-    """Off-diagonal Wigner transform sampled on the grid via closed form."""
-    vals = offdiag_wigner(chi, alpha, beta, grid.points())
-    return PhaseSpaceFn(grid, vals, "offdiag-wigner")
+def offdiag_reports(chi, alpha, beta, grid, table, pairs):
+    """[(tight, loose)] reports of |W_{chi_alpha, chi_beta}|_{a,b} for each
+    (a, b) in pairs, against the window table of W_chi.
+
+    The rhs come first, so a bad index or label raises before the closed
+    form is sampled on the grid; every lhs comes from one `_seminorm_entries`
+    table of that sample: one transform, one lattice pass per b, one zoom.
+    """
+    pairs = [(as_index(a), as_index(b)) for a, b in pairs]
+    rhs = [
+        (offdiag_tight_rhs(table, a, b, alpha, beta),
+         offdiag_loose_rhs(table, a, b, alpha, beta))
+        for a, b in pairs
+    ]
+    fn = PhaseSpaceFn(grid, offdiag_wigner(chi, alpha, beta, grid.points()))
+    lhs = _seminorm_entries(fn, pairs)
+    return [
+        (BoundReport("offdiag-tight", pair, lhs[pair], tight),
+         BoundReport("offdiag-loose", pair, lhs[pair], loose))
+        for pair, (tight, loose) in zip(pairs, rhs)
+    ]
 
 
 # ---------------------------------------------------------------------------

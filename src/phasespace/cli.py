@@ -19,6 +19,7 @@ from .grid import (
     Grid,
     GridResolutionError,
     PhaseSpaceFn,
+    suggest_grid,
 )
 from .multiindex import as_index
 from .seminorms import SeminormReport, seminorm
@@ -33,7 +34,6 @@ from .verify import (
     check_heavy_tail_trend,
     check_plateau_decay,
     run_suite,
-    suggest_grid,
     worker_count,
 )
 
@@ -152,6 +152,11 @@ def export_csv(obj, path, header=None):
         lines = _fn_rows(obj)
     else:
         lines = [CSV_HEADER if header is None else header] + [r.row() for r in obj]
+    _write_lines(lines, path)
+
+
+def _write_lines(lines, path):
+    """Write each line with a trailing newline; an OS error names the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
@@ -303,11 +308,7 @@ def _cmd_matel(args):
             [_fmt(alpha[0]), _fmt(alpha[1]), _fmt(beta[0]), _fmt(beta[1]),
              _fmt(value.real), _fmt(value.imag)]
         )
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("alpha_x,alpha_p,beta_x,beta_p,re,im\n" + line + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}")
+        _write_lines(["alpha_x,alpha_p,beta_x,beta_p,re,im", line], args.out)
         print(f"wrote {args.out}")
     return 0
 

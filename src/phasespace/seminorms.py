@@ -73,7 +73,7 @@ class SeminormReport:
 
 
 def _zoom_sups(coeffs, grid, decays, starts, lo, hi):
-    """Zoom |z^a interp(z)| around each lattice argmax; returns refined sups.
+    """Zoom |z^a interp(z)| around each lattice argmax; returns the zoomed sups.
 
     coeffs = fftn(values) of one 2-D sampled function, shared by every
     entry; the interpolant at z is N^-2 sum_k coeffs[k] exp(i w_k . (z + L)).
@@ -199,7 +199,7 @@ def _lattice_sups(abs_vals, grid, decays, lo, hi):
     return [sups[a] for a in decays]
 
 
-def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
+def _seminorm_entries(fn, pairs, band=DEFAULT_BAND):
     """{(a, b): |F|_{a,b}} for each (a, b) in pairs, sup over the interior band.
 
     F is transformed once; each distinct b costs one inverse transform and
@@ -221,7 +221,7 @@ def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
         deriv = np.fft.ifftn(coeffs) if any(b) else fn.values
         abs_vals = np.abs(deriv[(slice(lo, hi),) * grid.dim])
         starts = _lattice_sups(abs_vals, grid, decays, lo, hi)
-        if refine and grid.dim == 2:
+        if grid.dim == 2:
             row_bytes = ZOOM_POINTS * grid.n_points * 16
             chunk = max(1, _ZOOM_BLOCK_BYTES // (_ZOOM_ENTRY_ROWS * row_bytes))
             values = np.concatenate([
@@ -237,9 +237,9 @@ def _seminorm_entries(fn, pairs, band=DEFAULT_BAND, refine=True):
     return table
 
 
-def seminorm(fn, a, b, band=DEFAULT_BAND, refine=True):
+def seminorm(fn, a, b, band=DEFAULT_BAND):
     """sup over the interior band of |alpha^a (d^b F)(alpha)|."""
-    return _seminorm_entries(fn, [(a, b)], band, refine)[(as_index(a), as_index(b))]
+    return _seminorm_entries(fn, [(a, b)], band)[(as_index(a), as_index(b))]
 
 
 def norm_sum(fn, a, b, band=DEFAULT_BAND):
@@ -247,12 +247,12 @@ def norm_sum(fn, a, b, band=DEFAULT_BAND):
     return sum(seminorm_table(fn, a, b, band).values())
 
 
-def seminorm_table(fn, a_max, b_max, band=DEFAULT_BAND, refine=True):
+def seminorm_table(fn, a_max, b_max, band=DEFAULT_BAND):
     """All |F|_{a',b'} for a' <= a_max, b' <= b_max as a dict."""
     a_max = _index_for(a_max, fn.grid.dim)
     b_max = _index_for(b_max, fn.grid.dim)
     pairs = [(a, b) for b in box(b_max) for a in box(a_max)]
-    return _seminorm_entries(fn, pairs, band, refine)
+    return _seminorm_entries(fn, pairs, band)
 
 
 def decay_norm_from_table(table, a):
@@ -442,11 +442,11 @@ def operator_seminorm(state, a, b, c, d, grid=None):
         raise ValueError("operator seminorm needs a 1-D config grid")
     value = _sandwich_singular_value(rho, a, b, c, d, grid)
     fine = Grid(1, 2 * grid.n_points, grid.half_extent, kind="config")
-    refined = _sandwich_singular_value(rho, a, b, c, d, fine)
-    scale = max(abs(refined), 1e-12)
-    if abs(refined - value) > 0.01 * scale:
+    doubled = _sandwich_singular_value(rho, a, b, c, d, fine)
+    scale = max(abs(doubled), 1e-12)
+    if abs(doubled - value) > 0.01 * scale:
         raise GridResolutionError(
-            f"operator seminorm moved {abs(refined - value):.2e} "
+            f"operator seminorm moved {abs(doubled - value):.2e} "
             f"under N doubling; grid too coarse"
         )
-    return refined
+    return doubled

@@ -149,7 +149,7 @@ def quasichar(state, grid, cross_check=True):
         if resid > QUASICHAR_CROSS_TOL:
             raise GridResolutionError(
                 f"quasicharacteristic dual-route residual {resid:.2e} > "
-                f"{QUASICHAR_CROSS_TOL:.0e}; refine the grid or contain the state"
+                f"{QUASICHAR_CROSS_TOL:.0e}; use a finer grid or contain the state"
             )
     return fn
 

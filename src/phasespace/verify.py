@@ -3,7 +3,7 @@ independent routes and reports the worst residual.
 
 The 4-D checks (wigner-from-matel, wigner-decomp) use an auxiliary
 lattice with fixed spacing and a window that grows with the node count,
-so refinement runs shrink the dominant truncation error.  All sampling
+so runs on finer lattices shrink the dominant truncation error.  All sampling
 is seeded; identical config yields identical reports.
 """
 

@@ -23,16 +23,10 @@ from phasespace import (
     kernel_seminorm,
     quasichar,
     scaled_components,
-    seminorm,
     vacuum_state,
     wigner,
 )
-from phasespace.bounds import (
-    chi_seminorm_table,
-    offdiag_grid_fn,
-    offdiag_loose_rhs,
-    offdiag_tight_rhs,
-)
+from phasespace.bounds import chi_seminorm_table, offdiag_reports
 from phasespace.cli import main as cli_main
 from phasespace.multiindex import box, order
 from phasespace.verify import (
@@ -139,13 +133,11 @@ def test_c06_offdiag_bound_chain(capsys):
     for _ in range(50):
         alpha = rng.uniform(-2.0, 2.0, 2)
         beta = rng.uniform(-2.0, 2.0, 2)
-        fn = offdiag_grid_fn(chi, alpha, beta, small)
-        for a, b in index_pairs:
-            lhs = seminorm(fn, a, b)
-            tight = offdiag_tight_rhs(table, a, b, alpha, beta)
-            loose = offdiag_loose_rhs(table, a, b, alpha, beta)
+        reports = offdiag_reports(chi, alpha, beta, small, table, index_pairs)
+        for tight, loose in reports:
             checked += 1
-            if not (lhs <= tight * (1 + 1e-9) and tight <= loose * (1 + 1e-12)):
+            if not (tight.lhs <= tight.rhs * (1 + 1e-9)
+                    and tight.rhs <= loose.rhs * (1 + 1e-12)):
                 violations += 1
     ok = violations == 0
     _line(capsys, "06 offdiag-bound-chain", ok, f"{checked} checks, {violations} violations")

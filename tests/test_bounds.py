@@ -11,11 +11,13 @@ from phasespace import (
     BoundContext,
     BoundReport,
     Grid,
+    PhaseSpaceFn,
     PureState,
     cauchy_schwarz_reports,
     fock_state,
     offdiag_bound_rhs,
-    offdiag_grid_fn,
+    offdiag_reports,
+    offdiag_wigner,
     random_mixture,
     random_pure_state,
     seminorm,
@@ -26,6 +28,7 @@ from phasespace import (
 )
 from phasespace import bounds, transforms
 from phasespace.bounds import chi_seminorm_table, offdiag_loose_rhs, offdiag_tight_rhs
+from phasespace.grid import DEFAULT_BAND, derivative_coefficients
 from phasespace.multiindex import (
     add,
     add_scalar,
@@ -162,12 +165,28 @@ def test_loose_rhs_zero_order_is_chi_sup():
     assert abs(tight - 1.0 / math.pi) < 1e-8
 
 
+def lattice_table(fn, a_max, b_max, band=DEFAULT_BAND):
+    """|F|_{a,b} for a <= a_max, b <= b_max as the plain lattice max of
+    |x^a1 p^a2 d^b F| over the interior band, with no zoom (2-D grids)."""
+    grid = fn.grid
+    lo, hi = grid.interior_range(band)
+    axis = grid.axis()[lo:hi]
+    hat = np.fft.fftn(fn.values)
+    table = {}
+    for b in box(b_max):
+        deriv = np.fft.ifftn(derivative_coefficients(hat, grid, b))[lo:hi, lo:hi]
+        for a in box(a_max):
+            weight = axis[:, None] ** a[0] * axis[None, :] ** a[1]
+            table[(a, b)] = float(np.abs(weight * deriv).max())
+    return table
+
+
 def test_tight_below_loose():
     # same seminorm table on both sides, so the comparison is algebraic;
-    # skip refinement to keep the sweep cheap
+    # a lattice table without the zoom keeps the sweep cheap
     chi = vacuum_state(1)
     grid = Grid(2, 256, 12.0)
-    table = seminorm_table(wigner(chi, grid), (4, 4), (4, 4), refine=False)
+    table = lattice_table(wigner(chi, grid), (4, 4), (4, 4))
     rng = np.random.default_rng(23)
     pairs = pairs_up_to(4, 2)
     for _ in range(3):
@@ -247,34 +266,71 @@ def test_tight_matches_fourfold_on_two_mode_tables():
     "alpha,beta",
     [([1.0], [0.5, 3.0]), ([1.0, 2.0], [0.5]), ([1.0, 2.0, 0.0], [0.5, 3.0, 0.0])],
 )
-def test_tight_rejects_alpha_beta_of_wrong_length(alpha, beta):
-    # |alpha| + |beta| would broadcast a length-1 side against the other
+def test_tight_rejects_alpha_beta_of_wrong_length(alpha, beta, monkeypatch):
+    # |alpha| + |beta| would broadcast a length-1 side against the other;
+    # the loose rhs and offdiag_reports refuse the same labels by name
     table = {(Z, Z): 1.0, ((1, 0), Z): 1.0, (Z, (0, 1)): 1.0, ((1, 0), (0, 1)): 1.0}
-    with pytest.raises(ValueError, match="alpha and beta need 2 entries"):
-        offdiag_tight_rhs(table, (1, 0), (0, 1), alpha, beta)
+    for rhs in (offdiag_tight_rhs, offdiag_loose_rhs):
+        with pytest.raises(ValueError, match="alpha and beta need 2 entries"):
+            rhs(table, (1, 0), (0, 1), alpha, beta)
     with pytest.raises(ValueError):
         fourfold_tight_rhs(table, (1, 0), (0, 1), alpha, beta)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the off-diagonal W was sampled")
+
+    monkeypatch.setattr(bounds, "offdiag_wigner", no_sample)
+    with pytest.raises(ValueError, match="alpha and beta need 2 entries"):
+        offdiag_reports(vacuum_state(1), alpha, beta, Grid(2, 32, 6.0), table,
+                        [((1, 0), (0, 1))])
 
 
 def test_grid_seminorm_below_tight(grid):
     chi = vacuum_state(1)
     table = chi_seminorm_table(chi, (1, 1), (1, 1), grid=grid)
     rng = np.random.default_rng(31)
+    pairs = [(Z, Z), ((1, 0), Z), (Z, (0, 1)), ((1, 0), (0, 1))]
     for _ in range(3):
         alpha = rng.uniform(-2.0, 2.0, 2)
         beta = rng.uniform(-2.0, 2.0, 2)
-        fn = offdiag_grid_fn(chi, alpha, beta, grid)
-        for a, b in [(Z, Z), ((1, 0), Z), (Z, (0, 1)), ((1, 0), (0, 1))]:
-            lhs = seminorm(fn, a, b)
-            rhs = offdiag_bound_rhs(chi, a, b, alpha, beta, "tight", table=table)
-            assert lhs <= rhs * (1.0 + 1e-7)
+        for tight, loose in offdiag_reports(chi, alpha, beta, grid, table, pairs):
+            a, b = tight.indices
+            for report, variant in ((tight, "tight"), (loose, "loose")):
+                assert report.rhs == offdiag_bound_rhs(
+                    chi, a, b, alpha, beta, variant, table=table
+                )
+            assert tight.lhs <= tight.rhs * (1.0 + 1e-7)
 
 
 def test_offdiag_at_origin_is_chi_wigner(grid):
     chi = vacuum_state(1)
     zero = np.zeros(2)
-    fn = offdiag_grid_fn(chi, zero, zero, grid)
-    assert abs(seminorm(fn, Z, Z) - 1.0 / math.pi) < 1e-8
+    table = chi_seminorm_table(chi, Z, Z, grid=grid)
+    [(tight, loose)] = offdiag_reports(chi, zero, zero, grid, table, [(Z, Z)])
+    assert abs(tight.lhs - 1.0 / math.pi) < 1e-8
+    assert (tight.name, loose.name) == ("offdiag-tight", "offdiag-loose")
+    assert tight.lhs == loose.lhs
+
+
+def test_offdiag_reports_match_per_entry_chain():
+    # the per-entry route, one seminorm call per (a, b) on a fresh sample,
+    # is the oracle: one table per draw must give the same numbers bit for bit
+    chi = vacuum_state(1)
+    table = chi_seminorm_table(chi, (4, 4), (4, 4))
+    grid = Grid(2, 128, 12.0)
+    pairs = pairs_up_to(4, 2)
+    rng = np.random.default_rng(606)
+    for _ in range(3):
+        alpha = rng.uniform(-2.0, 2.0, 2)
+        beta = rng.uniform(-2.0, 2.0, 2)
+        reports = offdiag_reports(chi, alpha, beta, grid, table, pairs)
+        assert len(reports) == len(pairs)
+        fn = PhaseSpaceFn(grid, offdiag_wigner(chi, alpha, beta, grid.points()))
+        for (a, b), (tight, loose) in zip(pairs, reports):
+            assert tight.indices == loose.indices == (a, b)
+            assert tight.lhs == loose.lhs == seminorm(fn, a, b)
+            assert tight.rhs == offdiag_tight_rhs(table, a, b, alpha, beta)
+            assert loose.rhs == offdiag_loose_rhs(table, a, b, alpha, beta)
 
 
 def test_offdiag_unknown_variant(monkeypatch):

@@ -200,6 +200,18 @@ def test_matel_subcommand(tmp_path, capsys):
     header, cols = read_csv_values(out)
     assert header == ["alpha_x", "alpha_p", "beta_x", "beta_p", "re", "im"]
     assert cols[0, 4] == 1.0
+    assert out.read_bytes() == b"alpha_x,alpha_p,beta_x,beta_p,re,im\n0,0,0,0,1,0\n"
+
+
+def test_matel_out_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "m.csv"
+    code = run_cli(
+        "matel", "--demo", "vacuum", "--alpha", "0,0", "--beta", "0,0",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_seminorm_subcommand(tmp_path, capsys):

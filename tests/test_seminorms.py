@@ -71,11 +71,14 @@ def test_seminorm_vacuum_derivative(vacuum_wigner):
 
 
 def test_seminorm_zoom_beats_lattice(vacuum_wigner):
-    # the analytic argmax 1/sqrt(2) is off-lattice, so the unrefined sup
+    # the analytic argmax 1/sqrt(2) is off-lattice, so the lattice sup
     # undershoots and the trig-interpolant zoom must close the gap
     expected = math.exp(-0.5) / (math.sqrt(2.0) * math.pi)
-    coarse = seminorm(vacuum_wigner, (1, 0), Z, refine=False)
-    fine = seminorm(vacuum_wigner, (1, 0), Z, refine=True)
+    grid = vacuum_wigner.grid
+    lo, hi = grid.interior_range(DEFAULT_BAND)
+    abs_vals = np.abs(vacuum_wigner.values[lo:hi, lo:hi])
+    coarse, _ = _lattice_sup(abs_vals, grid, (1, 0), lo, hi)
+    fine = seminorm(vacuum_wigner, (1, 0), Z)
     assert coarse <= fine + 1e-15
     assert abs(fine - expected) < abs(coarse - expected)
 
@@ -96,9 +99,12 @@ def test_seminorm_band_excludes_boundary(vacuum_wigner):
 
 def test_seminorm_rejects_band_by_name(vacuum_wigner):
     # a negative band would index past the lower edge; it is refused by name
-    for refine in (True, False):
+    # on the zoomed 2-D route and on the lattice-only 4-D route alike
+    grid4 = Grid(4, 8, 6.0)
+    flat4 = PhaseSpaceFn(grid4, np.zeros(grid4.shape()))
+    for fn, zero in ((vacuum_wigner, Z), (flat4, (0,) * 4)):
         with pytest.raises(ValueError, match="band -0.1"):
-            seminorm(vacuum_wigner, Z, Z, band=-0.1, refine=refine)
+            seminorm(fn, zero, zero, band=-0.1)
     with pytest.raises(ValueError, match="band -0.1"):
         seminorm_table(vacuum_wigner, Z, Z, band=-0.1)
 
