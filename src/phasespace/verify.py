@@ -7,6 +7,7 @@ so runs on finer lattices shrink the dominant truncation error.  All sampling
 is seeded; identical config yields identical reports.
 """
 
+import math
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -224,33 +225,62 @@ def check_cauchy_schwarz(state, chi=None, tol=None, seed=0, n_pairs=1000):
     return _report("cauchy-schwarz", resid, tol, n_pairs, None, seed)
 
 
+def _offdiag_lattice(chi_a, chi_b, p):
+    """The y lattice of `_offdiag_direct`: half-width 2 max(reach) + 2 and
+    the fewest nodes N (a power of two, at least 8) with pi N >= 2 y_half
+    omega.  The integrand's frequencies lie within omega = |p| + (w_a +
+    w_b) / 2 + 10, w a window's largest |alpha_p| + sqrt(2m + 1) (the
+    momentum part of `extent()`: a window displaced far in x needs no finer
+    lattice) and 10 the decay margin of `reach`.  The trapezoid error is
+    set by the integrand's transform at 2 pi / h, so this leaves a factor-2
+    margin (Trefethen and Weideman, SIAM Review 56, 2014)."""
+    y_half = 2.0 * max(chi_a.reach(), chi_b.reach()) + 2.0
+    widths = [
+        max(abs(at.alpha[1]) + math.sqrt(2 * at.m[0] + 1) for at in window.atoms)
+        for window in (chi_a, chi_b)
+    ]
+    omega = abs(p) + 0.5 * sum(widths) + 10.0
+    nodes = 8
+    while math.pi * nodes < 2.0 * y_half * omega:
+        nodes *= 2
+    return Grid(1, nodes, y_half, kind="config")
+
+
 def _offdiag_direct(chi, alpha, beta, gamma):
     """Independent route: quadrature of the partial Fourier transform of
-    the rank-one kernel chi_alpha(x) conj(chi_beta(y))."""
+    the rank-one kernel chi_alpha(x) conj(chi_beta(y)).  Returns the value
+    and the lattice it was summed on."""
     chi_a = chi.displaced(alpha)
     chi_b = chi.displaced(beta)
-    y_half = 2.0 * max(chi_a.reach(), chi_b.reach()) + 2.0
-    lattice = Grid(1, 16384, y_half, kind="config")
-    ys, step = lattice.axis(), lattice.spacing
     x, p = gamma
+    lattice = _offdiag_lattice(chi_a, chi_b, p)
+    ys, step = lattice.axis(), lattice.spacing
     va = chi_a.evaluate((x - 0.5 * ys)[:, None])
     vb = chi_b.evaluate((x + 0.5 * ys)[:, None])
-    return step / (2.0 * np.pi) * (np.exp(1j * p * ys) * va * np.conj(vb)).sum()
+    value = step / (2.0 * np.pi) * (np.exp(1j * p * ys) * va * np.conj(vb)).sum()
+    return value, lattice
 
 
 def check_offdiag(chi=None, tol=None, seed=0, n_triples=50):
-    """Closed-form off-diagonal Wigner values against direct quadrature."""
+    """Closed-form off-diagonal Wigner values against direct quadrature;
+    info holds the largest lattice used, {"nodes", "half"}."""
     chi = chi or vacuum_state(1)
+    if chi.n != 1:
+        raise ValueError("offdiag check implemented for n=1")
     rng = np.random.default_rng(seed)
-    resid = 0.0
+    resid, nodes, half = 0.0, 0, 0.0
     for _ in range(n_triples):
         alpha = rng.uniform(-1.5, 1.5, 2)
         beta = rng.uniform(-1.5, 1.5, 2)
         gamma = rng.uniform(-2.0, 2.0, 2)
         closed = offdiag_wigner(chi, alpha, beta, gamma)
-        direct = _offdiag_direct(chi, alpha, beta, gamma)
+        direct, lattice = _offdiag_direct(chi, alpha, beta, gamma)
         resid = max(resid, abs(closed - direct))
-    return _report("offdiag", resid, tol, n_triples, None, seed)
+        nodes = max(nodes, lattice.n_points)
+        half = max(half, lattice.half_extent)
+    return _report(
+        "offdiag", resid, tol, n_triples, None, seed, {"nodes": nodes, "half": half}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,65 @@ def test_offdiag_check_nongaussian_window():
     assert check_offdiag(nongaussian_window(), n_triples=6).residual < 1e-7
 
 
+def offdiag_direct_16384(chi, alpha, beta, gamma):
+    """Reference direct route: the same quadrature on a fixed 16384-node
+    lattice, whatever the integrand's bandwidth."""
+    chi_a = chi.displaced(alpha)
+    chi_b = chi.displaced(beta)
+    y_half = 2.0 * max(chi_a.reach(), chi_b.reach()) + 2.0
+    lattice = Grid(1, 16384, y_half, kind="config")
+    ys, step = lattice.axis(), lattice.spacing
+    x, p = gamma
+    va = chi_a.evaluate((x - 0.5 * ys)[:, None])
+    vb = chi_b.evaluate((x + 0.5 * ys)[:, None])
+    return step / (2.0 * np.pi) * (np.exp(1j * p * ys) * va * np.conj(vb)).sum()
+
+
+OFFDIAG_WINDOWS = {
+    "vacuum": lambda: vacuum_state(1),
+    "nongaussian": nongaussian_window,
+    "order40": lambda: PureState([Atom((40,), (1.0, -2.0), 1.0)]),
+    "order150": lambda: PureState([Atom((150,), (3.0, 4.0), 1.0)]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(OFFDIAG_WINDOWS))
+def test_offdiag_direct_matches_16384_node_lattice(which):
+    chi = OFFDIAG_WINDOWS[which]()
+    rng = np.random.default_rng(0)
+    triples = [
+        (rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2), rng.uniform(-2.0, 2.0, 2))
+        for _ in range(6)
+    ]
+    # the corner of the sampling box where the integrand's band reaches
+    # furthest for the order-150 window (momentum +4, so p = -2)
+    triples.append([[0.0, 1.5], [0.0, 1.5], [0.0, -2.0]])
+    for alpha, beta, gamma in triples:
+        direct, lattice = verify._offdiag_direct(chi, alpha, beta, gamma)
+        assert lattice.n_points < 16384
+        assert abs(direct - offdiag_direct_16384(chi, alpha, beta, gamma)) <= 1e-14
+
+
+def test_offdiag_lattice_follows_window_bandwidth():
+    vac = check_offdiag(n_triples=5).info
+    wide = check_offdiag(OFFDIAG_WINDOWS["order150"](), n_triples=5).info
+    assert set(vac) == {"nodes", "half"}
+    assert vac["nodes"] <= 1024
+    assert wide["nodes"] > vac["nodes"]
+    # the half-width is 2 max(reach) + 2, as on the fixed lattice
+    assert vac["half"] <= 2.0 * (1.5 + 1.0 + 10.0) + 2.0
+
+
+def test_offdiag_rejects_n2_before_sampling(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(verify, "offdiag_wigner", no_sample)
+    monkeypatch.setattr(verify, "_offdiag_direct", no_sample)
+    with pytest.raises(ValueError, match="offdiag check implemented for n=1"):
+        check_offdiag(vacuum_state(2))
+
+
 # --- reproducing formula ----------------------------------------------------
 
 
